@@ -4,12 +4,14 @@ Subcommands:
   sweep       operator entropies of U_T^n over a (k, eps) grid -> one CSV per point
   spectrum    operator-RDM eigenvalues at saturation vs the Laguerre law
   diagonal    operator entanglement of exp(-i alpha Jz x Jz) vs alpha
-  saturation  quadrature estimate of the entropy plateau
+  saturation  closed-form entropy plateau of the Laguerre law
 
+`sweep` and `spectrum` share one stream of Schmidt spectra, `kicked_spectra`.
 Parameters come from an optional `key=value` config file (# comments
 allowed) with command-line flags taking precedence. Independent grid
-points run on a process pool capped by OPENT_WORKERS; outputs are written
-atomically and are byte-identical for any worker count.
+points run on a process pool of OPENT_WORKERS processes, capped by the
+point and CPU counts; outputs are written atomically and are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,22 +26,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .kickedtop import KickedTopParams, UnitarityDriftError, floquet, power_sequence
+from .kickedtop import KickedTopParams, diagonal_coupling, floquet, power_sequence, product_rotation
 from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
-from .schmidt import BipartitionDims, operator_entanglement, schmidt_spectrum
+from .schmidt import BipartitionDims, operator_entanglement, schmidt_spectrum, slin, svn
 from .spin import SpinSystem
 
-DEFAULT_K = (1.0, 2.0, 3.0, 6.0)
-DEFAULT_EPS = (1e-3, 1e-2, 1e-1, 1.0)
-DEFAULT_WINDOW = (200, 1000, 40)
+
+def _sweep_name(k: float, eps: float) -> str:
+    return f"sweep_k{k:g}_eps{eps:g}.csv"
+
+
+def _reject_repeats(names) -> None:
+    """Fail if two grid points would write the same output file."""
+    names = list(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"two grid points would both write {name}")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     j1: float = 10.0
     j2: float = 10.0
-    k_values: tuple[float, ...] = DEFAULT_K
-    eps_values: tuple[float, ...] = DEFAULT_EPS
+    k_values: tuple[float, ...] = (1.0, 2.0, 3.0, 6.0)
+    eps_values: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 1.0)
     n_max: int = 1000
     sample_stride: int = 5
     output_dir: Path = Path("out")
@@ -51,6 +61,7 @@ class SweepConfig:
             raise ValueError("k and eps lists must be non-empty")
         if self.j1 > self.j2:
             raise ValueError("j1 <= j2 required")
+        _reject_repeats(_sweep_name(k, eps) for k in self.k_values for eps in self.eps_values)
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ class SpectrumConfig:
     j2_values: tuple[float, ...] = (10.0, 15.0, 20.0)
     k: float = 6.0
     eps: float = 1.0
-    saturation_window: tuple[int, int, int] = DEFAULT_WINDOW
+    saturation_window: tuple[int, int, int] = (200, 1000, 40)
     bins: int = 25
     output_dir: Path = Path("out")
 
@@ -71,17 +82,19 @@ class SpectrumConfig:
             raise ValueError("window stride must be positive")
         if self.bins < 5:
             raise ValueError("need at least 5 bins")
+        _reject_repeats(f"eigenvalues_j2_{j2:g}.txt" for j2 in self.j2_values)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _worker_count() -> int:
+def _worker_count(tasks: int) -> int:
+    """Pool size: OPENT_WORKERS (default: cpu count), capped by tasks and cpu count."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("OPENT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    requested = int(env) if env else cpus
+    return max(1, min(requested, tasks, cpus))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -90,74 +103,65 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def kicked_spectra(params: KickedTopParams, ns):
+    """Yield (n, SchmidtSpectrum of U_T^n) for each n in `ns`, ascending.
+
+    One power stream, with its unitarity-drift checks, at the coarsest
+    stride that still hits every requested n.
+    """
+    wanted = set(ns)
+    dims = BipartitionDims(params.top1.dim, params.top2.dim)
+    for sample in power_sequence(floquet(params), max(wanted), math.gcd(*wanted)):
+        if sample.n in wanted:
+            yield sample.n, schmidt_spectrum(sample.matrix, dims)
+
+
 def sweep_point(j1: float, j2: float, k: float, eps: float, n_max: int, stride: int):
     """Entropy time series [(n, S_V, S_L), ...] for one parameter point."""
-    params = KickedTopParams(j1, j2, k, k, eps)
-    dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    u = floquet(params)
-    rows = []
-    for sample in power_sequence(u, n_max, stride):
-        sv, sl = operator_entanglement(sample.matrix, dims)
-        rows.append((sample.n, sv, sl))
-    return rows
+    spectra = kicked_spectra(KickedTopParams(j1, j2, k, k, eps), range(stride, n_max + 1, stride))
+    return [(n, svn(spec), slin(spec)) for n, spec in spectra]
 
 
-def _run_sweep_point(args):
+def _try_sweep_point(args):
+    """Write one sweep CSV; return its path, or a one-line failure message."""
     cfg, k, eps = args
-    rows = sweep_point(cfg.j1, cfg.j2, k, eps, cfg.n_max, cfg.sample_stride)
-    lines = ["n,S_V,S_L"]
-    lines += [f"{n},{_fmt(sv)},{_fmt(sl)}" for n, sv, sl in rows]
-    path = Path(cfg.output_dir) / f"sweep_k{k:g}_eps{eps:g}.csv"
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    try:
+        rows = sweep_point(cfg.j1, cfg.j2, k, eps, cfg.n_max, cfg.sample_stride)
+        lines = ["n,S_V,S_L"]
+        lines += [f"{n},{_fmt(sv)},{_fmt(sl)}" for n, sv, sl in rows]
+        path = Path(cfg.output_dir) / _sweep_name(k, eps)
+        _atomic_write(path, "\n".join(lines) + "\n")
+        return path
+    except Exception as exc:  # one failed point must not cost the rest of the grid
+        return f"sweep point k={k:g} eps={eps:g}: {type(exc).__name__}: {exc}"
 
 
 def run_sweep(cfg: SweepConfig) -> list[Path]:
     """Write one `n,S_V,S_L` CSV per (k, eps) point; returns written paths.
 
-    A drift failure at one point is reported and skipped; the other
-    points still complete. Raises only if every point failed or the
+    A failure at one point is reported on stderr and the other points
+    still complete. Raises after the grid if any point failed, or if the
     output directory is unusable.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values]
-    paths: list[Path] = []
-    failures: list[str] = []
-    with ProcessPoolExecutor(max_workers=_worker_count()) as pool:
-        for task, result in zip(tasks, pool.map(_try_sweep_point, tasks)):
-            if isinstance(result, str):
-                failures.append(result)
-                print(f"error: {result}", file=sys.stderr)
-            else:
-                paths.append(result)
-    if failures and not paths:
-        raise RuntimeError("all sweep points failed: " + "; ".join(failures))
-    return paths
-
-
-def _try_sweep_point(args):
-    _, k, eps = args
-    try:
-        return _run_sweep_point(args)
-    except UnitarityDriftError as exc:
-        return f"sweep point k={k:g} eps={eps:g}: {exc}"
+    with ProcessPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
+        results = list(pool.map(_try_sweep_point, tasks))
+    failures = [r for r in results if isinstance(r, str)]
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    if failures:
+        raise RuntimeError(f"{len(failures)} of {len(tasks)} sweep points failed")
+    return results
 
 
 def spectrum_eigenvalues(j1: float, j2: float, k: float, eps: float,
                          window: tuple[int, int, int]) -> np.ndarray:
     """Normalized operator-RDM eigenvalues aggregated over the window."""
     n_start, n_end, stride = window
-    params = KickedTopParams(j1, j2, k, k, eps)
-    dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    u = floquet(params)
-    collected = []
-    # coarsest power stride that still hits every window sample
-    base = math.gcd(n_start, stride)
-    for sample in power_sequence(u, n_end, base):
-        if sample.n >= n_start and (sample.n - n_start) % stride == 0:
-            collected.append(schmidt_spectrum(sample.matrix, dims).normalized)
-    return np.concatenate(collected)
+    spectra = kicked_spectra(KickedTopParams(j1, j2, k, k, eps), range(n_start, n_end + 1, stride))
+    return np.concatenate([spec.normalized for _, spec in spectra])
 
 
 def _run_spectrum_point(args):
@@ -176,7 +180,8 @@ def _run_spectrum_point(args):
     )
     _atomic_write(eig_path, header + "\n".join(_fmt(x) for x in eigs) + "\n")
 
-    h = histogram(eigs, cfg.bins, (0.0, 1.05 * law.lambda_max))
+    support = (0.0, 1.05 * law.lambda_max)
+    h = histogram(eigs, cfg.bins, support)
     # per-time-step density, comparable with the law's total mass N^2
     heights = h.heights / n_steps
     predicted = laguerre_density(law, h.centers)
@@ -189,10 +194,12 @@ def _run_spectrum_point(args):
     hist_path = out / f"histogram_j2_{j2:g}.csv"
     _atomic_write(hist_path, "\n".join(lines) + "\n")
 
-    dist = fit_distance(type(h)(h.bin_edges, heights), law)
+    # eigenvalues the histogram drops; per step this is the lost mass over N^2
+    outside = np.count_nonzero((eigs < support[0]) | (eigs > support[1])) / eigs.size
+    dist = fit_distance(type(h)(h.bin_edges, heights), law) + outside
     report = (
         f"j2={j2:g} N={n_dim} M={m_dim} Q={law.q:.6g} "
-        f"steps={n_steps} fit_distance={dist:.6g}"
+        f"steps={n_steps} fit_distance={dist:.6g} outside={outside:.6g}"
     )
     return eig_path, hist_path, report, dist
 
@@ -201,17 +208,17 @@ def run_spectrum(cfg: SpectrumConfig) -> list[tuple[Path, Path, str, float]]:
     """Per j2: eigenvalue dump, histogram CSV and a fit-distance report line."""
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, j2) for j2 in cfg.j2_values]
-    with ProcessPoolExecutor(max_workers=_worker_count()) as pool:
+    with ProcessPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
         results = list(pool.map(_run_spectrum_point, tasks))
     for _, _, report, _ in results:
         print(report)
     return results
 
 
-def run_diagonal(j1: float, j2: float, alpha_values, output_path: Path) -> Path:
+def run_diagonal(j1: float = 10.0, j2: float = 10.0,
+                 alpha_values=(0.0, 0.1, 0.5, 1.0, 2.0),
+                 output_path: Path = Path("out/diagonal.csv")) -> Path:
     """CSV of operator entanglement of exp(-i alpha Jz x Jz) at each alpha."""
-    from .kickedtop import diagonal_coupling, product_rotation
-
     if not alpha_values:
         raise ValueError("alpha list must be non-empty")
     alphas = list(alpha_values)
@@ -233,7 +240,7 @@ def run_diagonal(j1: float, j2: float, alpha_values, output_path: Path) -> Path:
 
 
 def run_saturation(n_small: int, m_big: int) -> str:
-    """Report the quadrature plateau estimate next to ln(0.6 N^2) and ln N^2."""
+    """Report the closed-form plateau estimate next to ln(0.6 N^2) and ln N^2."""
     est = saturation_estimate(n_small, m_big)
     report = (
         f"N={n_small} M={m_big} Q={(m_big / n_small) ** 2:.6g}\n"
@@ -270,14 +277,31 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _merged(args, keys: dict[str, str]) -> dict[str, str]:
-    """Config file values with CLI flag overrides; keys maps flag -> config key."""
+# Per subcommand: flag (also its config-file key) -> (keyword argument, parser).
+# Keys set neither in the file nor by a flag keep the target's defaults.
+_SWEEP_FLAGS = {
+    "j1": ("j1", float), "j2": ("j2", float),
+    "k": ("k_values", _floats), "eps": ("eps_values", _floats),
+    "nmax": ("n_max", int), "stride": ("sample_stride", int),
+    "out": ("output_dir", Path),
+}
+_SPECTRUM_FLAGS = {
+    "j1": ("j1", float), "j2": ("j2_values", _floats),
+    "k": ("k", float), "eps": ("eps", float),
+    "window": ("saturation_window", _ints), "bins": ("bins", int),
+    "out": ("output_dir", Path),
+}
+_DIAGONAL_FLAGS = {
+    "j1": ("j1", float), "j2": ("j2", float), "alpha": ("alpha_values", _floats),
+    "out": ("output_path", lambda text: Path(text) / "diagonal.csv"),
+}
+
+
+def _kwargs(args, flags) -> dict:
+    """Keyword arguments from the config file and flag overrides; unset ones keep defaults."""
     values = load_config(args.config) if args.config else {}
-    for attr, key in keys.items():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            values[key] = flag
-    return values
+    values.update({f: getattr(args, f) for f in flags if getattr(args, f) is not None})
+    return {field: parse(values[f]) for f, (field, parse) in flags.items() if f in values}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -313,40 +337,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            v = _merged(args, {"j1": "j1", "j2": "j2", "k": "k", "eps": "eps",
-                               "nmax": "nmax", "stride": "stride", "out": "out"})
-            cfg = SweepConfig(
-                j1=float(v.get("j1", 10)),
-                j2=float(v.get("j2", 10)),
-                k_values=_floats(v["k"]) if "k" in v else DEFAULT_K,
-                eps_values=_floats(v["eps"]) if "eps" in v else DEFAULT_EPS,
-                n_max=int(v.get("nmax", 1000)),
-                sample_stride=int(v.get("stride", 5)),
-                output_dir=Path(v.get("out", "out")),
-            )
-            run_sweep(cfg)
+            run_sweep(SweepConfig(**_kwargs(args, _SWEEP_FLAGS)))
         elif args.command == "spectrum":
-            v = _merged(args, {"j1": "j1", "j2": "j2", "k": "k", "eps": "eps",
-                               "window": "window", "bins": "bins", "out": "out"})
-            cfg = SpectrumConfig(
-                j1=float(v.get("j1", 10)),
-                j2_values=_floats(v["j2"]) if "j2" in v else (10.0, 15.0, 20.0),
-                k=float(v.get("k", 6)),
-                eps=float(v.get("eps", 1)),
-                saturation_window=tuple(_ints(v["window"])) if "window" in v else DEFAULT_WINDOW,
-                bins=int(v.get("bins", 25)),
-                output_dir=Path(v.get("out", "out")),
-            )
-            run_spectrum(cfg)
+            run_spectrum(SpectrumConfig(**_kwargs(args, _SPECTRUM_FLAGS)))
         elif args.command == "diagonal":
-            v = _merged(args, {"j1": "j1", "j2": "j2", "alpha": "alpha", "out": "out"})
-            alphas = _floats(v["alpha"]) if "alpha" in v else (0.0, 0.1, 0.5, 1.0, 2.0)
-            run_diagonal(
-                j1=float(v.get("j1", 10)),
-                j2=float(v.get("j2", 10)),
-                alpha_values=alphas,
-                output_path=Path(v.get("out", "out")) / "diagonal.csv",
-            )
+            run_diagonal(**_kwargs(args, _DIAGONAL_FLAGS))
         elif args.command == "saturation":
             run_saturation(int(args.n), int(args.m))
     except Exception as exc:  # one machine-parseable line, nonzero exit

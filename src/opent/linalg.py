@@ -22,19 +22,8 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes for product: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    return as_matrix(a).conj().T
 
 
 def hs_inner(a, b) -> complex:
@@ -44,10 +33,6 @@ def hs_inner(a, b) -> complex:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     # vdot conjugates its first argument and sums entrywise, which is Tr(a^dag b)
     return complex(np.vdot(a, b))
-
-
-def hs_norm_sq(a) -> float:
-    return hs_inner(a, a).real
 
 
 def singular_values(a) -> np.ndarray:

@@ -8,9 +8,11 @@ matrix with aspect parameter Q = M^2 / N^2; their density is
 
 on [x_min, x_max] with x_min/max = (1 + 1/Q -/+ 2/sqrt(Q)) / N^2. The
 density integrates to N^2 (eigenvalue count) with first moment 1 (unit
-trace). The expected von Neumann entropy under this law is evaluated by
-quadrature after the cosine substitution x = c + r cos(theta), which
-removes both square-root endpoints and the 1/x pole at Q = 1.
+trace); both are checked by quadrature after the cosine substitution
+x = c + r cos(theta), which removes both square-root endpoints and the
+1/x pole at Q = 1. The expected von Neumann entropy under this law has
+the closed form ln N^2 - 1/(2Q), the Marchenko-Pastur value that Page's
+finite-size mean (Page 1993) approaches for large N.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Composite midpoint nodes for the cosine-substituted quadrature; the
-# result is cross-checked at half resolution to 0.1%.
+# Midpoint nodes for the cosine-substituted quadrature of mass and mean.
 QUAD_NODES = 10_000
-QUAD_RTOL = 1e-3
 
 
 def laguerre_bounds(n_small: int, q: float) -> tuple[float, float]:
@@ -74,54 +74,39 @@ def laguerre_density(law: LaguerreLaw, lam) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _cosine_quadrature(law: LaguerreLaw, integrand_over_density, nodes: int) -> float:
-    """Integrate g(x) f(x) dx via x = c + r cos(theta), midpoint rule.
+def _moment(law: LaguerreLaw, g_over_x) -> float:
+    """int g(x) f(x) dx by the midpoint rule after x = c + r cos(theta).
 
-    `integrand_over_density(x, sin_theta)` must return g(x) * f(x) * dx/dtheta
-    divided by the common prefactor N^2 Q r^2 / (2 pi); concretely
-    sin(theta)^2 * g(x) / x, computed in whatever singularity-free form
-    applies.
+    f(x) dx becomes (N^4 Q r^2 / 2 pi) sin(theta)^2 / x dtheta, so the
+    summand sin(theta)^2 g(x) / x is smooth and periodic for the g used
+    here and the rule converges fast; `g_over_x(x)` returns g(x) / x.
     """
     c = (law.lambda_max + law.lambda_min) / 2
     r = (law.lambda_max - law.lambda_min) / 2
-    h = math.pi / nodes
-    theta = (np.arange(nodes) + 0.5) * h
-    x = c + r * np.cos(theta)
-    vals = integrand_over_density(x, np.sin(theta))
-    pref = law.n_small**4 * law.q * r**2 / (2 * math.pi)
-    return float(pref * h * np.sum(vals))
-
-
-def _expectation(law: LaguerreLaw, g_over_x, what: str) -> float:
-    """E_f[g] = int g(x) f(x) dx with a half-resolution convergence check."""
-
-    def integrand(x, s):
-        return s**2 * g_over_x(x)
-
-    full = _cosine_quadrature(law, integrand, QUAD_NODES)
-    half = _cosine_quadrature(law, integrand, QUAD_NODES // 2)
-    scale = max(abs(full), 1e-30)
-    if abs(full - half) > QUAD_RTOL * scale:
-        raise RuntimeError(
-            f"quadrature for {what} did not converge: {full:.6g} vs {half:.6g}"
-        )
-    return full
+    h = math.pi / QUAD_NODES
+    theta = (np.arange(QUAD_NODES) + 0.5) * h
+    vals = np.sin(theta) ** 2 * g_over_x(c + r * np.cos(theta))
+    return float(law.n_small**4 * law.q * r**2 / (2 * math.pi) * h * np.sum(vals))
 
 
 def density_mass(law: LaguerreLaw) -> float:
     """Integral of f over its support; equals N^2 up to quadrature error."""
-    return _expectation(law, lambda x: 1.0 / x, "density mass")
+    return _moment(law, lambda x: 1.0 / x)
 
 
 def density_mean(law: LaguerreLaw) -> float:
     """First moment of f; equals 1 up to quadrature error."""
-    return _expectation(law, lambda x: np.ones_like(x), "first moment")
+    return _moment(law, np.ones_like)
 
 
 def saturation_estimate(n_small: int, m_big: int) -> float:
-    """Expected von Neumann entropy -int f(x) x ln x dx under the law."""
+    """Expected von Neumann entropy -int f(x) x ln x dx under the law.
+
+    Closed form ln N^2 - 1/(2Q): the Marchenko-Pastur mean entropy, which
+    is the large-N limit of Page's finite-size mean.
+    """
     law = LaguerreLaw.from_dims(n_small, m_big)
-    return -_expectation(law, np.log, "entropy")
+    return math.log(n_small**2) - 1 / (2 * law.q)
 
 
 @dataclass(frozen=True)

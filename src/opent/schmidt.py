@@ -84,16 +84,19 @@ def schmidt_spectrum(u, d: BipartitionDims) -> SchmidtSpectrum:
 
 
 def svn(spec: SchmidtSpectrum) -> float:
-    """Von Neumann entropy -sum lt ln lt of the normalized coefficients."""
+    """Von Neumann entropy -sum lt ln lt of the normalized coefficients.
+
+    Clamped at 0, which rounding undershoots for product operators.
+    """
     lt = spec.normalized
     lt = lt[lt > 0]
-    return float(-np.sum(lt * np.log(lt)))
+    return max(0.0, float(-np.sum(lt * np.log(lt))))
 
 
 def slin(spec: SchmidtSpectrum) -> float:
-    """Linear entropy 1 - sum lt^2 of the normalized coefficients."""
+    """Linear entropy 1 - sum lt^2 of the normalized coefficients, clamped at 0."""
     lt = spec.normalized
-    return float(1.0 - np.sum(lt**2))
+    return max(0.0, float(1.0 - np.sum(lt**2)))
 
 
 def operator_entanglement(u, d: BipartitionDims) -> tuple[float, float]:

@@ -5,8 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from opent import cli
+from opent import (
+    BipartitionDims, KickedTopParams, UnitarityDriftError, cli, floquet, schmidt_spectrum,
+)
+from opent.rmt import Histogram, LaguerreLaw, fit_distance
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -172,3 +177,100 @@ def test_csv_floats_have_12_significant_digits(tmp_path):
     sv = rows[0][1]
     digits = sv.replace("-", "").replace(".", "").lstrip("0")
     assert len(digits) in (11, 12)  # %.12g, possibly with a trailing zero dropped
+
+
+@given(
+    spins=st.sampled_from([(0.5, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 1.5)]),
+    k=st.floats(0.5, 6.0),
+    eps=st.floats(0.0, 1.0),
+    window=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 5)),
+)
+@example(spins=(1.0, 1.5), k=6.0, eps=1.0, window=(6, 4, 7))  # 6, 10, ..., 30: gcd 2
+@settings(max_examples=25, deadline=None)
+def test_kicked_spectra_match_matrix_powers(spins, k, eps, window):
+    start, stride, count = window
+    ns = range(start, start + stride * count, stride)
+    params = KickedTopParams(spins[0], spins[1], k, k, eps)
+    u = floquet(params)
+    dims = BipartitionDims(params.top1.dim, params.top2.dim)
+    got = list(cli.kicked_spectra(params, ns))
+    assert [n for n, _ in got] == list(ns)
+    for n, spec in got:
+        ref = schmidt_spectrum(np.linalg.matrix_power(u, n), dims)
+        np.testing.assert_allclose(spec.lambdas, ref.lambdas, atol=1e-9 * dims.total)
+
+
+@pytest.mark.parametrize("k_values, eps_values", [((1.0, 1.0000001), (1.0,)), ((1.0, 1.0), (0.5,))])
+def test_sweep_config_rejects_colliding_names(k_values, eps_values):
+    with pytest.raises(ValueError, match="sweep_k1_eps"):
+        cli.SweepConfig(k_values=k_values, eps_values=eps_values)
+
+
+def test_spectrum_config_rejects_colliding_names():
+    with pytest.raises(ValueError, match="eigenvalues_j2_10.txt"):
+        cli.SpectrumConfig(j2_values=(10.0, 15.0, 10.0000001))
+
+
+def test_cli_colliding_sweep_names_exit_before_writing(tmp_path):
+    res = run_cli(["sweep", "--j1", "0.5", "--j2", "0.5", "--k", "1,1.0000001", "--eps", "1",
+                   "--nmax", "2", "--stride", "1", "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ValueError:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("failure", [UnitarityDriftError(5, 1e-6),
+                                     np.linalg.LinAlgError("SVD did not converge")])
+def test_sweep_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, capsys, failure):
+    real = cli.sweep_point
+
+    def flaky(j1, j2, k, eps, n_max, stride):
+        if (k, eps) == (6.0, 0.5):
+            raise failure
+        return real(j1, j2, k, eps, n_max, stride)
+
+    monkeypatch.setenv("OPENT_WORKERS", "1")
+    monkeypatch.setattr(cli, "sweep_point", flaky)  # the forked worker inherits it
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--j1", "1", "--j2", "1", "--k", "1,6", "--eps", "0,0.5",
+                     "--nmax", "4", "--stride", "2", "--out", str(out)])
+    assert code == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "sweep_k1_eps0.5.csv", "sweep_k1_eps0.csv", "sweep_k6_eps0.csv"]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"error: sweep point k=6 eps=0.5: {type(failure).__name__}")
+    assert err[1] == "error: RuntimeError: 1 of 4 sweep points failed"
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("OPENT_WORKERS", "100000")  # only the count is computed, no pool starts
+    assert cli._worker_count(4) == min(4, cpus)
+    assert cli._worker_count(1) == 1
+    monkeypatch.setenv("OPENT_WORKERS", "0")
+    assert cli._worker_count(4) == 1
+    monkeypatch.delenv("OPENT_WORKERS")
+    assert cli._worker_count(3) == min(3, cpus)
+
+
+def test_spectrum_counts_mass_outside_the_support(tmp_path):
+    cfg = cli.SpectrumConfig(j1=1, j2_values=(1.0,), k=6.0, eps=1.0,
+                             saturation_window=(4, 40, 4), bins=6, output_dir=tmp_path)
+    [(eig_path, hist_path, report, dist)] = cli.run_spectrum(cfg)
+    law = LaguerreLaw.from_dims(3, 3)
+    eigs = np.loadtxt(eig_path, comments="#")
+    outside = np.count_nonzero(eigs > 1.05 * law.lambda_max) / eigs.size
+    assert outside > 0
+    assert float(report.split("outside=")[1]) == pytest.approx(outside, rel=1e-5)
+    rows = np.loadtxt(hist_path, delimiter=",", skiprows=1)
+    h = Histogram(np.append(rows[:, 0], rows[-1, 1]), rows[:, 2])
+    assert dist == pytest.approx(fit_distance(h, law) + outside, rel=1e-9)
+
+
+def test_diagonal_entropies_are_never_negative(tmp_path):
+    # at (1/2, 1) the unclamped alpha = 0 entropies round to about -2e-16
+    path = cli.run_diagonal(0.5, 1.0, [0.0, 0.4], tmp_path / "diagonal.csv")
+    lines = path.read_text().splitlines()
+    values = [v for line in lines[1:-1] for v in line.split(",")[1:]]
+    values.append(lines[-1].rsplit("= ", 1)[1])  # the product-rotation comment
+    assert len(values) == 5 and not any(v.startswith("-") for v in values)

@@ -9,33 +9,6 @@ from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_hermitian
 I2 = np.eye(2, dtype=np.complex128)
 
 
-def test_matmul_identity():
-    np.testing.assert_array_equal(linalg.matmul(I2, I2), I2)
-
-
-def test_matmul_pauli_involution():
-    np.testing.assert_allclose(linalg.matmul(SIGMA_X, SIGMA_X), I2, atol=1e-15)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError, match="incompatible"):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_matmul_against_triple_loop(seed):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, 3, 4)
-    b = random_complex(rng, 4, 2)
-    expected = np.zeros((3, 2), dtype=np.complex128)
-    for i in range(3):
-        for j in range(2):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    np.testing.assert_allclose(linalg.matmul(a, b), expected, atol=1e-13)
-
-
 def test_kron_identities():
     np.testing.assert_array_equal(linalg.kron(I2, I2), np.eye(4))
     np.testing.assert_array_equal(
@@ -51,20 +24,6 @@ def test_kron_mixed_product(seed):
     lhs = linalg.kron(a, b) @ linalg.kron(c, d)
     rhs = linalg.kron(a @ c, b @ d)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_dagger_examples():
-    np.testing.assert_array_equal(linalg.dagger(np.eye(3)), np.eye(3))
-    a = np.array([[0, 1], [-1, 0]], dtype=np.complex128)  # i*sigma_y
-    np.testing.assert_array_equal(linalg.dagger(a), -a)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_dagger_involution(seed):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, 3, 5)
-    np.testing.assert_array_equal(linalg.dagger(linalg.dagger(a)), a)
 
 
 def test_hs_inner_identity_trace():

@@ -77,6 +77,14 @@ def test_saturation_square_band(n):
     assert math.log(n**2) - 0.52 <= est <= math.log(n**2) - 0.48
 
 
+@pytest.mark.parametrize("n, m, expected", [
+    (21, 31, 5.859596), (21, 41, 5.957873), (3, 7, 2.105388),
+])
+def test_saturation_estimate_rectangular_values(n, m, expected):
+    # -int f(x) x ln x dx by a 10,000-node cosine-substituted quadrature, to 6 decimals
+    assert rmt.saturation_estimate(n, m) == pytest.approx(expected, abs=1e-6)
+
+
 def test_saturation_tiny_case():
     assert rmt.saturation_estimate(2, 2) < math.log(4)
 
