@@ -7,6 +7,11 @@ Subcommands:
   saturation  closed-form entropy plateau of the Laguerre law
 
 `sweep` and `spectrum` share one stream of Schmidt spectra, `kicked_spectra`.
+It powers U_T inside its two parity blocks (see kickedtop), joins each
+wanted U_T^n back to the product basis, and takes its Schmidt spectrum per
+parity block; it checks the symmetry of U_T, unitarity and the sum rule
+sum(lambda) = N M as it goes. Spins and windows are validated when a
+config is built, before any process starts.
 Parameters come from an optional `key=value` config file (# comments
 allowed) with command-line flags taking precedence. Independent grid
 points run on a process pool of OPENT_WORKERS processes, capped by the
@@ -26,10 +31,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .kickedtop import KickedTopParams, diagonal_coupling, floquet, power_sequence, product_rotation
+from .kickedtop import (
+    DRIFT_TOL, KickedTopParams, diagonal_coupling, floquet, power_sequence, product_rotation,
+)
+from .linalg import reversal_join, reversal_split
 from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
 from .schmidt import BipartitionDims, operator_entanglement, schmidt_spectrum, slin, svn
 from .spin import SpinSystem
+
+
+# Abort threshold for the sum-rule defect |sum(lambda) / (N M) - 1| of one sample.
+SUM_RULE_TOL = 1e-8
+
+
+def _check_spins(j1: float, *j2s: float) -> None:
+    """Fail unless every spin is a half-integer >= 1/2 and no j2 is below j1."""
+    for j in (j1, *j2s):
+        if not j >= 0.5:
+            raise ValueError(f"spin j={j:g} must be at least 1/2")
+        SpinSystem.from_j(j)
+    for j2 in j2s:
+        if j2 < j1:
+            raise ValueError(f"j1 <= j2 required, got j1={j1:g}, j2={j2:g}")
 
 
 def _sweep_name(k: float, eps: float) -> str:
@@ -59,9 +82,8 @@ class SweepConfig:
             raise ValueError("need n_max >= sample_stride >= 1")
         if not self.k_values or not self.eps_values:
             raise ValueError("k and eps lists must be non-empty")
-        if self.j1 > self.j2:
-            raise ValueError("j1 <= j2 required")
         _reject_repeats(_sweep_name(k, eps) for k in self.k_values for eps in self.eps_values)
+        _check_spins(self.j1, self.j2)
 
 
 @dataclass(frozen=True)
@@ -76,6 +98,8 @@ class SpectrumConfig:
 
     def __post_init__(self):
         n_start, n_end, stride = self.saturation_window
+        if n_start < 1:
+            raise ValueError(f"window start must be a positive step, got {n_start}")
         if not n_start < n_end:
             raise ValueError("window start must precede end")
         if stride < 1:
@@ -83,6 +107,7 @@ class SpectrumConfig:
         if self.bins < 5:
             raise ValueError("need at least 5 bins")
         _reject_repeats(f"eigenvalues_j2_{j2:g}.txt" for j2 in self.j2_values)
+        _check_spins(self.j1, *self.j2_values)
 
 
 def _fmt(x: float) -> str:
@@ -106,14 +131,38 @@ def _atomic_write(path: Path, text: str) -> None:
 def kicked_spectra(params: KickedTopParams, ns):
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in `ns`, ascending.
 
-    One power stream, with its unitarity-drift checks, at the coarsest
-    stride that still hits every requested n.
+    U_T is split once into its two parity blocks, which must reproduce it
+    to DRIFT_TOL. One power stream runs over both blocks, stacked with the
+    smaller one padded by a 1 on the diagonal, at the coarsest stride that
+    still hits every requested n; it checks unitarity at each sample. Each
+    wanted power is joined back to the product basis, and its spectrum must
+    meet the sum rule to SUM_RULE_TOL.
     """
     wanted = set(ns)
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    for sample in power_sequence(floquet(params), max(wanted), math.gcd(*wanted)):
-        if sample.n in wanted:
-            yield sample.n, schmidt_spectrum(sample.matrix, dims)
+    parity = params.parity
+    signs = np.outer(*parity).ravel()
+    u = floquet(params)
+    blocks = reversal_split(u, signs, signs)
+    off = np.abs(reversal_join(*blocks, signs, signs) - u).max()
+    if off > DRIFT_TOL:
+        raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
+                         f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
+    sizes = [len(b) for b in blocks]
+    h = max(sizes)
+    stack = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy()
+    for layer, block, size in zip(stack, blocks, sizes):
+        layer[:size, :size] = block
+    del u, blocks  # the stream needs only the stack; this keeps peak memory down
+    for sample in power_sequence(stack, max(wanted), math.gcd(*wanted)):
+        if sample.n not in wanted:
+            continue
+        power = reversal_join(*(m[:k, :k] for m, k in zip(sample.matrix, sizes)), signs, signs)
+        spec = schmidt_spectrum(power, dims, parity)
+        defect = abs(spec.lambdas.sum() / dims.total - 1)
+        if defect > SUM_RULE_TOL:
+            raise RuntimeError(f"sum-rule defect {defect:.3e} exceeds {SUM_RULE_TOL:g} at power n={sample.n}")
+        yield sample.n, spec
 
 
 def sweep_point(j1: float, j2: float, k: float, eps: float, n_max: int, stride: int):

@@ -5,6 +5,12 @@ torsion exp(-i (k_i / 2 j_i) Jz_i^2); the two tops are then coupled through
 exp(-i (eps / sqrt(j1 j2)) Jz_1 Jz_2). Everything here is diagonal in the
 product Jz basis except the precession, so the coupling and torsion factors
 are built directly as diagonal matrices.
+
+U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
+m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
+and the precession about y unchanged. `KickedTopParams.parity` gives R as
+per-top signed reversals, and `power_sequence` powers a stack of matrices,
+such as the two parity blocks of U_T, side by side.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import expi_hermitian, kron, unitarity_residual
-from .spin import SpinSystem, jy
+from .spin import SpinSystem, jy, parity_signs
 
 # Abort threshold for unitarity drift during repeated multiplication.
 DRIFT_TOL = 1e-8
@@ -60,6 +66,11 @@ class KickedTopParams:
     @property
     def top2(self) -> SpinSystem:
         return SpinSystem.from_j(self.j2)
+
+    @property
+    def parity(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-top signs of the parity exp(-i pi Jy1) x exp(-i pi Jy2), a symmetry of U_T."""
+        return parity_signs(self.top1), parity_signs(self.top2)
 
 
 def free_rotation(s: SpinSystem) -> np.ndarray:
@@ -114,6 +125,7 @@ class PowerSample(NamedTuple):
 def power_sequence(u: np.ndarray, n_max: int, sample_stride: int = 1) -> Iterator[PowerSample]:
     """Yield (n, u^n, unitarity residual) for n = stride, 2*stride, ... <= n_max.
 
+    `u` is a matrix or a stack (..., d, d) of matrices powered side by side.
     Powers are accumulated by repeated multiplication; the residual is
     checked at every yielded sample and a UnitarityDriftError aborts the
     stream if it exceeds DRIFT_TOL.
@@ -121,7 +133,7 @@ def power_sequence(u: np.ndarray, n_max: int, sample_stride: int = 1) -> Iterato
     if n_max < 1 or sample_stride < 1:
         raise ValueError("n_max and sample_stride must be positive")
     u = np.asarray(u, dtype=np.complex128)
-    acc = np.eye(u.shape[0], dtype=np.complex128)
+    acc = np.broadcast_to(np.eye(u.shape[-1], dtype=np.complex128), u.shape).copy()
     for n in range(1, n_max + 1):
         acc = acc @ u
         if n % sample_stride == 0:

@@ -6,6 +6,11 @@ re-sorting that vector by (subsystem-1 indices, subsystem-2 indices) gives
 the n^2 x m^2 coefficient matrix whose singular values squared are the
 operator Schmidt coefficients. Entropies of the normalized coefficients
 quantify the operator's entangling power.
+
+An operator that commutes with a product of signed reversals P1 x P2 (such
+as the kicked-top parity) has a realigned matrix that is block diagonal in
+the eigenbases of P1 x P1 and P2 x P2. `schmidt_spectrum` then takes the
+singular values of its two blocks, about a quarter of the work of one SVD.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, singular_values
+from .linalg import as_matrix, reversal_split, singular_values
 
 # Coefficients below this fraction of the largest one count as zero for
 # rank reporting; they are kept in entropy sums.
@@ -77,9 +82,24 @@ def realign(u, d: BipartitionDims) -> np.ndarray:
     return u.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
-def schmidt_spectrum(u, d: BipartitionDims) -> SchmidtSpectrum:
-    """Squared singular values of the realigned operator, descending."""
-    sigma = singular_values(realign(u, d))
+def schmidt_spectrum(u, d: BipartitionDims, parity=None) -> SchmidtSpectrum:
+    """Squared singular values of the realigned operator, descending.
+
+    `parity` is a pair of sign vectors (s1, s2), of lengths n and m, of
+    signed reversals P_i e_a = s_i[a] e_{dim-1-a} whose product commutes
+    with u. The realigned matrix X then satisfies X = (P1 x P1) X (P2 x P2)^T
+    and its singular values are those of its two parity blocks. The
+    off-block part is not checked: a u that breaks the symmetry loses that
+    part's mass from the spectrum.
+    """
+    x = realign(u, d)
+    if parity is None:
+        sigma = singular_values(x)
+    else:
+        s1, s2 = parity
+        blocks = reversal_split(x, np.outer(s1, s1).ravel(), np.outer(s2, s2).ravel())
+        del x  # free the realigned matrix before the SVDs copy the blocks
+        sigma = np.sort(np.concatenate([singular_values(b) for b in blocks]))[::-1]
     return SchmidtSpectrum(lambdas=sigma[: d.n * d.n] ** 2, dims=d)
 
 

@@ -64,6 +64,15 @@ def jy(s: SpinSystem) -> np.ndarray:
     return (p - p.conj().T) / 2j
 
 
+def parity_signs(s: SpinSystem) -> np.ndarray:
+    """Signs of the pi rotation about y as a signed reversal of the basis.
+
+    exp(-i pi Jy) |j, m> = (-1)^(j-m) |j, -m>, so basis vector i goes to
+    sign[i] times basis vector dim-1-i, with j - m = 2j - i.
+    """
+    return (-1.0) ** np.arange(s.two_j, -1, -1)
+
+
 def basis_state(s: SpinSystem, m: float) -> np.ndarray:
     """Column vector |j, m> in the ascending-m basis."""
     idx = m + s.j

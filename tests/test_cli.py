@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opent import (
-    BipartitionDims, KickedTopParams, UnitarityDriftError, cli, floquet, schmidt_spectrum,
+    BipartitionDims, KickedTopParams, UnitarityDriftError, cli, floquet, schmidt, schmidt_spectrum,
 )
 from opent.rmt import Histogram, LaguerreLaw, fit_distance
 
@@ -162,6 +162,20 @@ def test_cli_error_is_one_line_nonzero(tmp_path):
     assert err_lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--j1", "10.3", "--j2", "10.3", "--k", "6", "--eps", "1", "--nmax", "2", "--stride", "1"],
+    ["sweep", "--j1", "0", "--j2", "1", "--k", "6", "--eps", "1", "--nmax", "2", "--stride", "1"],
+    ["spectrum", "--j1", "1", "--j2", "1,0.5", "--window", "2,4,2", "--bins", "5"],
+    ["spectrum", "--j1", "1", "--j2", "1.25", "--window", "2,4,2", "--bins", "5"],
+    ["spectrum", "--j1", "0.5", "--j2", "0.5", "--window", "0,8,4", "--bins", "5"],
+])
+def test_cli_bad_spin_or_window_fails_before_any_work(tmp_path, args):
+    res = run_cli([*args, "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ValueError:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_diagonal_subcommand(tmp_path):
     res = run_cli(["diagonal", "--j1", "1", "--j2", "1", "--alpha", "0.5",
                    "--out", str(tmp_path)])
@@ -179,8 +193,11 @@ def test_csv_floats_have_12_significant_digits(tmp_path):
     assert len(digits) in (11, 12)  # %.12g, possibly with a trailing zero dropped
 
 
+SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
 @given(
-    spins=st.sampled_from([(0.5, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 1.5)]),
+    spins=st.sampled_from([(a, b) for a in SPINS for b in SPINS if a <= b]),
     k=st.floats(0.5, 6.0),
     eps=st.floats(0.0, 1.0),
     window=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 5)),
@@ -197,7 +214,14 @@ def test_kicked_spectra_match_matrix_powers(spins, k, eps, window):
     assert [n for n, _ in got] == list(ns)
     for n, spec in got:
         ref = schmidt_spectrum(np.linalg.matrix_power(u, n), dims)
-        np.testing.assert_allclose(spec.lambdas, ref.lambdas, atol=1e-9 * dims.total)
+        np.testing.assert_allclose(spec.normalized, ref.normalized, atol=1e-12)
+
+
+def test_kicked_spectra_check_the_sum_rule(monkeypatch):
+    real = schmidt.singular_values
+    monkeypatch.setattr(schmidt, "singular_values", lambda a: 1.001 * real(a))
+    with pytest.raises(RuntimeError, match="sum-rule defect .* at power n=2"):
+        list(cli.kicked_spectra(KickedTopParams(1, 1, 6.0, 6.0, 1.0), [2, 4]))
 
 
 @pytest.mark.parametrize("k_values, eps_values", [((1.0, 1.0000001), (1.0,)), ((1.0, 1.0), (0.5,))])

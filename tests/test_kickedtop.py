@@ -6,6 +6,7 @@ from opent import (
     KickedTopParams,
     SpinSystem,
     UnitarityDriftError,
+    cli,
     coupling,
     diagonal_coupling,
     floquet,
@@ -16,7 +17,8 @@ from opent import (
     product_rotation,
     torsion,
 )
-from opent.linalg import hs_inner, kron, unitarity_residual
+from opent.linalg import expi_hermitian, hs_inner, kron, unitarity_residual
+from opent.spin import jy
 from opent.states import product_basis_state
 
 HALF = SpinSystem(1)
@@ -121,6 +123,33 @@ def test_power_sequence_stride_and_bounds():
     assert ns == [3, 6, 9]
     with pytest.raises(ValueError):
         list(power_sequence(np.eye(2), 0, 1))
+
+
+def test_power_sequence_powers_a_stack_side_by_side():
+    a = floquet(KickedTopParams.symmetric(1, 2.0, 0.5))
+    b = floquet(KickedTopParams(1, 1, 3.0, 1.0, 0.3))
+    samples = list(power_sequence(np.stack([a, b]), 6, 3))
+    assert [s.n for s in samples] == [3, 6]
+    for s in samples:
+        for u, power in zip((a, b), s.matrix):
+            np.testing.assert_allclose(power, np.linalg.matrix_power(u, s.n), atol=1e-13)
+        assert s.residual == max(unitarity_residual(m) for m in s.matrix)
+
+
+@pytest.mark.parametrize("j1, j2", [(0.5, 0.5), (0.5, 1.0), (1.5, 2.0), (10, 10)])
+def test_floquet_commutes_with_its_parity(j1, j2):
+    p = KickedTopParams(j1, j2, 6.0, 3.0, 1.0)
+    r = kron(expi_hermitian(jy(p.top1), np.pi), expi_hermitian(jy(p.top2), np.pi))
+    u = floquet(p)
+    assert np.abs(u @ r - r @ u).max() < 1e-12
+
+
+def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
+    p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
+    broken = floquet(p) @ product_rotation(p.top1, p.top2, 0.7)
+    monkeypatch.setattr(cli, "floquet", lambda params: broken)
+    with pytest.raises(ValueError, match="breaks the parity"):
+        next(cli.kicked_spectra(p, [1, 2]))
 
 
 def test_power_sequence_drift_aborts():

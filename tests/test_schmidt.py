@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from opent import (
     BipartitionDims,
     SchmidtSpectrum,
+    SpinSystem,
     operator_entanglement,
     realign,
     reshape_vec,
@@ -13,7 +14,8 @@ from opent import (
     slin,
     svn,
 )
-from opent.linalg import hs_inner, kron
+from opent.linalg import expi_hermitian, hs_inner, kron
+from opent.spin import jy, parity_signs
 from conftest import CNOT, random_complex, random_unitary, swap_operator
 
 D22 = BipartitionDims(2, 2)
@@ -168,3 +170,23 @@ def test_entropy_bounds(rng):
         assert -1e-12 <= svn(spec) <= np.log(16) + 1e-12
         assert -1e-12 <= slin(spec) <= 1 - 1 / 16 + 1e-12
         assert spec.rank <= 16
+
+
+SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+@given(
+    spins=st.sampled_from([(a, b) for a in SPINS for b in SPINS if a <= b]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_parity_blocks_give_the_full_spectrum(spins, seed):
+    s1, s2 = (SpinSystem.from_j(j) for j in spins)
+    d = BipartitionDims(s1.dim, s2.dim)
+    r = kron(expi_hermitian(jy(s1), np.pi), expi_hermitian(jy(s2), np.pi))
+    u = random_unitary(np.random.default_rng(seed), d.total)
+    u = (u + r @ u @ r.conj().T) / 2  # commutes with the parity r
+    got = schmidt_spectrum(u, d, (parity_signs(s1), parity_signs(s2)))
+    assert got.lambdas.size == d.n**2
+    assert np.all(np.diff(got.lambdas) <= 0)
+    np.testing.assert_allclose(got.lambdas, schmidt_spectrum(u, d).lambdas, atol=1e-12)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from opent import SpinSystem, basis_state, jx, jy, jz
-from opent.linalg import eigh
+from opent.linalg import eigh, expi_hermitian
+from opent.spin import parity_signs
 
 HALF = SpinSystem(1)
 ONE = SpinSystem(2)
@@ -89,3 +90,12 @@ def test_basis_state_out_of_range():
         basis_state(ONE, 2)
     with pytest.raises(ValueError, match="out of range"):
         basis_state(HALF, 0.0)
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 1.5, 10, 12.5])
+def test_parity_signs_are_the_pi_rotation_about_y(j):
+    s = SpinSystem.from_j(j)
+    signs = parity_signs(s)
+    reversal = np.zeros((s.dim, s.dim))
+    reversal[s.dim - 1 - np.arange(s.dim), np.arange(s.dim)] = signs
+    np.testing.assert_allclose(expi_hermitian(jy(s), np.pi), reversal, atol=1e-13)
