@@ -10,8 +10,11 @@ Subcommands:
 It powers U_T inside its two parity blocks (see kickedtop), joins each
 wanted U_T^n back to the product basis, and takes its Schmidt spectrum per
 parity block; it checks the symmetry of U_T, unitarity and the sum rule
-sum(lambda) = N M as it goes. Spins and windows are validated when a
-config is built, before any process starts.
+sum(lambda) = N M as it goes. `diagonal` hands the diagonals of
+exp(-i alpha Jz x Jz) and of a product rotation to `schmidt_spectrum` as
+vectors, so each spectrum is one SVD of an N x M phase matrix, and holds
+each to the same sum rule. Spins, windows and alphas are validated before
+any work starts.
 Parameters come from an optional `key=value` config file (# comments
 allowed) with command-line flags taking precedence. Independent grid
 points run on a process pool of OPENT_WORKERS processes, capped by the
@@ -32,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .kickedtop import (
-    DRIFT_TOL, KickedTopParams, diagonal_coupling, floquet, power_sequence, product_rotation,
+    DRIFT_TOL, KickedTopParams, floquet, power_sequence, rotation_phases, zz_phases,
 )
 from .linalg import reversal_join, reversal_split
 from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
-from .schmidt import BipartitionDims, operator_entanglement, schmidt_spectrum, slin, svn
+from .schmidt import BipartitionDims, SchmidtSpectrum, schmidt_spectrum, slin, svn
 from .spin import SpinSystem
 
 
@@ -53,6 +56,13 @@ def _check_spins(j1: float, *j2s: float) -> None:
     for j2 in j2s:
         if j2 < j1:
             raise ValueError(f"j1 <= j2 required, got j1={j1:g}, j2={j2:g}")
+
+
+def _check_sum_rule(spec: SchmidtSpectrum, where: str) -> None:
+    """Fail if a unitary's spectrum misses sum(lambda) = N M by more than SUM_RULE_TOL."""
+    defect = abs(spec.lambdas.sum() / spec.dims.total - 1)
+    if defect > SUM_RULE_TOL:
+        raise RuntimeError(f"sum-rule defect {defect:.3e} exceeds {SUM_RULE_TOL:g} at {where}")
 
 
 def _sweep_name(k: float, eps: float) -> str:
@@ -159,9 +169,7 @@ def kicked_spectra(params: KickedTopParams, ns):
             continue
         power = reversal_join(*(m[:k, :k] for m, k in zip(sample.matrix, sizes)), signs, signs)
         spec = schmidt_spectrum(power, dims, parity)
-        defect = abs(spec.lambdas.sum() / dims.total - 1)
-        if defect > SUM_RULE_TOL:
-            raise RuntimeError(f"sum-rule defect {defect:.3e} exceeds {SUM_RULE_TOL:g} at power n={sample.n}")
+        _check_sum_rule(spec, f"power n={sample.n}")
         yield sample.n, spec
 
 
@@ -267,21 +275,32 @@ def run_spectrum(cfg: SpectrumConfig) -> list[tuple[Path, Path, str, float]]:
 def run_diagonal(j1: float = 10.0, j2: float = 10.0,
                  alpha_values=(0.0, 0.1, 0.5, 1.0, 2.0),
                  output_path: Path = Path("out/diagonal.csv")) -> Path:
-    """CSV of operator entanglement of exp(-i alpha Jz x Jz) at each alpha."""
-    if not alpha_values:
-        raise ValueError("alpha list must be non-empty")
+    """CSV of operator entanglement of exp(-i alpha Jz x Jz) at each alpha.
+
+    The spins may come in either order; the smaller one is top 1. Each
+    spectrum, and that of the product rotation in the closing comment, must
+    meet the sum rule to SUM_RULE_TOL.
+    """
     alphas = list(alpha_values)
+    if not alphas:
+        raise ValueError("alpha list must be non-empty")
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha:g}")
+    j1, j2 = min(j1, j2), max(j1, j2)
+    _check_spins(j1, j2)
     if 0.0 not in alphas:
         alphas = [0.0] + alphas
-    s1 = SpinSystem.from_j(min(j1, j2))
-    s2 = SpinSystem.from_j(max(j1, j2))
+    s1, s2 = SpinSystem.from_j(j1), SpinSystem.from_j(j2)
     dims = BipartitionDims(s1.dim, s2.dim)
     lines = ["alpha,S_V,S_L"]
     for alpha in alphas:
-        sv, sl = operator_entanglement(diagonal_coupling(s1, s2, alpha), dims)
-        lines.append(f"{_fmt(alpha)},{_fmt(sv)},{_fmt(sl)}")
-    sv_up, _ = operator_entanglement(product_rotation(s1, s2, 0.7), dims)
-    lines.append(f"# S_V(product rotation, p=0.7) = {_fmt(sv_up)}")
+        spec = schmidt_spectrum(zz_phases(s1, s2, alpha), dims)
+        _check_sum_rule(spec, f"alpha={alpha:g}")
+        lines.append(f"{_fmt(alpha)},{_fmt(svn(spec))},{_fmt(slin(spec))}")
+    spec = schmidt_spectrum(rotation_phases(s1, s2, 0.7), dims)
+    _check_sum_rule(spec, "the product rotation")
+    lines.append(f"# S_V(product rotation, p=0.7) = {_fmt(svn(spec))}")
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(output_path, "\n".join(lines) + "\n")

@@ -4,7 +4,9 @@ One period of top i is a free precession exp(-i (pi/2) Jy_i) followed by a
 torsion exp(-i (k_i / 2 j_i) Jz_i^2); the two tops are then coupled through
 exp(-i (eps / sqrt(j1 j2)) Jz_1 Jz_2). Everything here is diagonal in the
 product Jz basis except the precession, so the coupling and torsion factors
-are built directly as diagonal matrices.
+are built directly as diagonal matrices. `zz_phases` and `rotation_phases`
+return just the diagonals of the Jz x Jz couplings and of the product
+rotation; `schmidt.schmidt_spectrum` accepts such a diagonal directly.
 
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
@@ -84,28 +86,29 @@ def torsion(s: SpinSystem, k: float) -> np.ndarray:
     return np.diag(np.exp(-1j * (k / s.two_j) * m**2))
 
 
-def _diagonal_zz(s1: SpinSystem, s2: SpinSystem, prefactor: float) -> np.ndarray:
-    m1 = s1.m_values()
-    m2 = s2.m_values()
-    phases = np.exp(-1j * prefactor * np.outer(m1, m2)).ravel()
-    return np.diag(phases)
+def zz_phases(s1: SpinSystem, s2: SpinSystem, prefactor: float) -> np.ndarray:
+    """Diagonal of exp(-i prefactor Jz x Jz) in the product Jz basis."""
+    return np.exp(-1j * prefactor * np.outer(s1.m_values(), s2.m_values())).ravel()
 
 
 def coupling(s1: SpinSystem, s2: SpinSystem, epsilon: float) -> np.ndarray:
     """Spin-spin coupling exp(-i (eps / sqrt(j1 j2)) Jz x Jz)."""
-    return _diagonal_zz(s1, s2, epsilon / math.sqrt(s1.j * s2.j))
+    return np.diag(zz_phases(s1, s2, epsilon / math.sqrt(s1.j * s2.j)))
 
 
 def diagonal_coupling(s1: SpinSystem, s2: SpinSystem, alpha: float) -> np.ndarray:
     """exp(-i alpha Jz x Jz) with a bare prefactor (no 1/sqrt(j1 j2))."""
-    return _diagonal_zz(s1, s2, alpha)
+    return np.diag(zz_phases(s1, s2, alpha))
+
+
+def rotation_phases(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
+    """Diagonal of exp(-i p Jz) x exp(-i p Jz) in the product Jz basis."""
+    return np.kron(np.exp(-1j * p * s1.m_values()), np.exp(-1j * p * s2.m_values()))
 
 
 def product_rotation(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
     """exp(-i p Jz) x exp(-i p Jz): a non-entangling product of local rotations."""
-    u1 = np.diag(np.exp(-1j * p * s1.m_values()))
-    u2 = np.diag(np.exp(-1j * p * s2.m_values()))
-    return kron(u1, u2)
+    return np.diag(rotation_phases(s1, s2, p))
 
 
 def floquet(p: KickedTopParams) -> np.ndarray:

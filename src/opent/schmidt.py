@@ -11,6 +11,12 @@ An operator that commutes with a product of signed reversals P1 x P2 (such
 as the kicked-top parity) has a realigned matrix that is block diagonal in
 the eigenbases of P1 x P1 and P2 x P2. `schmidt_spectrum` then takes the
 singular values of its two blocks, about a quarter of the work of one SVD.
+
+A diagonal operator U = diag(phi) may be passed as the vector phi of its
+n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
+delta_ab delta_cd' phi[a,c] is zero outside one n x m block, phi reshaped,
+so the coefficients are the squared singular values of that block followed
+by n^2 - n exact zeros.
 """
 
 from __future__ import annotations
@@ -85,13 +91,21 @@ def realign(u, d: BipartitionDims) -> np.ndarray:
 def schmidt_spectrum(u, d: BipartitionDims, parity=None) -> SchmidtSpectrum:
     """Squared singular values of the realigned operator, descending.
 
-    `parity` is a pair of sign vectors (s1, s2), of lengths n and m, of
-    signed reversals P_i e_a = s_i[a] e_{dim-1-a} whose product commutes
+    `u` is a matrix, or the 1-d vector of the diagonal of a diagonal
+    operator; a vector takes one SVD of its n x m reshape and ignores
+    `parity`. `parity` is a pair of sign vectors (s1, s2), of lengths n
+    and m, of signed reversals P_i e_a = s_i[a] e_{dim-1-a} whose product commutes
     with u. The realigned matrix X then satisfies X = (P1 x P1) X (P2 x P2)^T
     and its singular values are those of its two parity blocks. The
     off-block part is not checked: a u that breaks the symmetry loses that
     part's mass from the spectrum.
     """
+    if np.ndim(u) == 1:
+        if len(u) != d.total:
+            raise ValueError(f"diagonal of length {len(u)} does not match dims {d.total}")
+        sigma = singular_values(np.reshape(u, (d.n, d.m)))
+        sigma = np.concatenate([sigma, np.zeros(d.n * d.n - d.n)])
+        return SchmidtSpectrum(lambdas=sigma**2, dims=d)
     x = realign(u, d)
     if parity is None:
         sigma = singular_values(x)
@@ -120,6 +134,6 @@ def slin(spec: SchmidtSpectrum) -> float:
 
 
 def operator_entanglement(u, d: BipartitionDims) -> tuple[float, float]:
-    """(von Neumann, linear) operator entanglement entropies of u."""
+    """(von Neumann, linear) operator entanglement entropies of u (a matrix or a diagonal)."""
     spec = schmidt_spectrum(u, d)
     return svn(spec), slin(spec)

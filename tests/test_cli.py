@@ -168,6 +168,8 @@ def test_cli_error_is_one_line_nonzero(tmp_path):
     ["spectrum", "--j1", "1", "--j2", "1,0.5", "--window", "2,4,2", "--bins", "5"],
     ["spectrum", "--j1", "1", "--j2", "1.25", "--window", "2,4,2", "--bins", "5"],
     ["spectrum", "--j1", "0.5", "--j2", "0.5", "--window", "0,8,4", "--bins", "5"],
+    ["diagonal", "--j1", "0", "--j2", "1", "--alpha", "0.5"],
+    ["diagonal", "--j1", "1.3", "--j2", "1", "--alpha", "0.5"],
 ])
 def test_cli_bad_spin_or_window_fails_before_any_work(tmp_path, args):
     res = run_cli([*args, "--out", str(tmp_path / "out")])
@@ -181,6 +183,28 @@ def test_cli_diagonal_subcommand(tmp_path):
                    "--out", str(tmp_path)])
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "diagonal.csv").exists()
+
+
+@pytest.mark.parametrize("alpha, bad", [("0.5,inf", "inf"), ("nan", "nan")])
+def test_cli_diagonal_rejects_non_finite_alpha(tmp_path, alpha, bad):
+    res = run_cli(["diagonal", "--j1", "1", "--j2", "1", "--alpha", alpha, "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    assert res.stderr == f"error: ValueError: alpha must be finite, got {bad}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_diagonal_takes_spins_in_either_order(tmp_path):
+    swapped = cli.run_diagonal(2, 1, [0.3], tmp_path / "swapped.csv")
+    ordered = cli.run_diagonal(1, 2, [0.3], tmp_path / "ordered.csv")
+    assert swapped.read_text() == ordered.read_text()
+
+
+def test_run_diagonal_checks_the_sum_rule(tmp_path, monkeypatch):
+    real = schmidt.singular_values
+    monkeypatch.setattr(schmidt, "singular_values", lambda a: 1.001 * real(a))
+    with pytest.raises(RuntimeError, match="sum-rule defect .* at alpha=0"):
+        cli.run_diagonal(1, 1.5, [0.3], tmp_path / "diagonal.csv")
+    assert not (tmp_path / "diagonal.csv").exists()
 
 
 def test_csv_floats_have_12_significant_digits(tmp_path):

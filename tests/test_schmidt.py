@@ -14,6 +14,7 @@ from opent import (
     slin,
     svn,
 )
+from opent.kickedtop import product_rotation
 from opent.linalg import expi_hermitian, hs_inner, kron
 from opent.spin import jy, parity_signs
 from conftest import CNOT, random_complex, random_unitary, swap_operator
@@ -190,3 +191,32 @@ def test_parity_blocks_give_the_full_spectrum(spins, seed):
     assert got.lambdas.size == d.n**2
     assert np.all(np.diff(got.lambdas) <= 0)
     np.testing.assert_allclose(got.lambdas, schmidt_spectrum(u, d).lambdas, atol=1e-12)
+
+
+@given(
+    spins=st.sampled_from([(a, b) for a in SPINS for b in SPINS if a <= b]),
+    seed=st.integers(0, 2**32 - 1),
+    unimodular=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_diagonal_vector_gives_the_full_spectrum(spins, seed, unimodular):
+    s1, s2 = (SpinSystem.from_j(j) for j in spins)
+    d = BipartitionDims(s1.dim, s2.dim)
+    rng = np.random.default_rng(seed)
+    vec = random_complex(rng, 1, d.total)[0]
+    if unimodular:
+        vec /= np.abs(vec)
+    got = schmidt_spectrum(vec, d)
+    ref = schmidt_spectrum(np.diag(vec), d)
+    assert got.lambdas.size == d.n**2
+    np.testing.assert_array_equal(got.lambdas[d.n:], 0.0)
+    np.testing.assert_allclose(got.lambdas, ref.lambdas, rtol=1e-12, atol=1e-12 * ref.lambdas[0])
+    assert got.rank <= d.n
+    p = rng.uniform(-np.pi, np.pi)
+    assert schmidt_spectrum(np.diag(product_rotation(s1, s2, p)), d).rank == 1
+
+
+@pytest.mark.parametrize("length", [5, 7, 36])
+def test_diagonal_vector_of_wrong_length_raises(length):
+    with pytest.raises(ValueError, match="diagonal of length"):
+        schmidt_spectrum(np.ones(length), BipartitionDims(2, 3))
