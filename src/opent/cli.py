@@ -7,14 +7,16 @@ Subcommands:
   saturation  closed-form entropy plateau of the Laguerre law
 
 `sweep` and `spectrum` share one stream of Schmidt spectra, `kicked_spectra`.
-It powers U_T inside its two parity blocks (see kickedtop), joins each
-wanted U_T^n back to the product basis, and takes its Schmidt spectrum per
-parity block; it checks the symmetry of U_T, unitarity and the sum rule
-sum(lambda) = N M as it goes. `diagonal` hands the diagonals of
-exp(-i alpha Jz x Jz) and of a product rotation to `schmidt_spectrum` as
-vectors, so each spectrum is one SVD of an N x M phase matrix, and holds
-each to the same sum rule. Spins, windows and alphas are validated before
-any work starts.
+It moves U_T once into the local parity basis (the Jy eigenbasis of each
+top, see kickedtop), where the parity blocks are index-mask slices, powers
+the two blocks, and takes each wanted U_T^n's Schmidt spectrum per parity
+block in that basis, with no change back to the product basis; local
+unitaries do not change the spectrum. It checks the symmetry of U_T,
+unitarity and the sum rule sum(lambda) = N M as it goes. `diagonal` hands
+the diagonals of exp(-i alpha Jz x Jz) and of a product rotation to
+`schmidt_spectrum` as vectors, so each spectrum is one SVD of an N x M phase
+matrix, and holds each to the same sum rule. Spins, windows, k, eps, alphas
+and OPENT_WORKERS are validated before any output is written.
 Parameters come from an optional `key=value` config file (# comments
 allowed) with command-line flags taking precedence. Independent grid
 points run on a process pool of OPENT_WORKERS processes, capped by the
@@ -37,10 +39,10 @@ import numpy as np
 from .kickedtop import (
     DRIFT_TOL, KickedTopParams, floquet, power_sequence, rotation_phases, zz_phases,
 )
-from .linalg import reversal_join, reversal_split
+from .linalg import kron
 from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
 from .schmidt import BipartitionDims, SchmidtSpectrum, schmidt_spectrum, slin, svn
-from .spin import SpinSystem
+from .spin import SpinSystem, parity_basis
 
 
 # Abort threshold for the sum-rule defect |sum(lambda) / (N M) - 1| of one sample.
@@ -48,14 +50,21 @@ SUM_RULE_TOL = 1e-8
 
 
 def _check_spins(j1: float, *j2s: float) -> None:
-    """Fail unless every spin is a half-integer >= 1/2 and no j2 is below j1."""
+    """Fail unless every spin is a finite half-integer >= 1/2 and no j2 is below j1."""
     for j in (j1, *j2s):
-        if not j >= 0.5:
-            raise ValueError(f"spin j={j:g} must be at least 1/2")
+        if not 0.5 <= j < math.inf:
+            raise ValueError(f"spin j={j:g} must be finite and at least 1/2")
         SpinSystem.from_j(j)
     for j2 in j2s:
         if j2 < j1:
             raise ValueError(f"j1 <= j2 required, got j1={j1:g}, j2={j2:g}")
+
+
+def _check_finite(name: str, values) -> None:
+    """Fail on the first value that is infinite or nan."""
+    for x in values:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x:g}")
 
 
 def _check_sum_rule(spec: SchmidtSpectrum, where: str) -> None:
@@ -92,6 +101,8 @@ class SweepConfig:
             raise ValueError("need n_max >= sample_stride >= 1")
         if not self.k_values or not self.eps_values:
             raise ValueError("k and eps lists must be non-empty")
+        _check_finite("k", self.k_values)
+        _check_finite("eps", self.eps_values)
         _reject_repeats(_sweep_name(k, eps) for k in self.k_values for eps in self.eps_values)
         _check_spins(self.j1, self.j2)
 
@@ -116,6 +127,8 @@ class SpectrumConfig:
             raise ValueError("window stride must be positive")
         if self.bins < 5:
             raise ValueError("need at least 5 bins")
+        _check_finite("k", (self.k,))
+        _check_finite("eps", (self.eps,))
         _reject_repeats(f"eigenvalues_j2_{j2:g}.txt" for j2 in self.j2_values)
         _check_spins(self.j1, *self.j2_values)
 
@@ -128,7 +141,10 @@ def _worker_count(tasks: int) -> int:
     """Pool size: OPENT_WORKERS (default: cpu count), capped by tasks and cpu count."""
     cpus = os.cpu_count() or 1
     env = os.environ.get("OPENT_WORKERS")
-    requested = int(env) if env else cpus
+    try:
+        requested = int(env) if env else cpus
+    except ValueError:
+        raise ValueError(f"OPENT_WORKERS must be an integer, got {env!r}") from None
     return max(1, min(requested, tasks, cpus))
 
 
@@ -141,34 +157,40 @@ def _atomic_write(path: Path, text: str) -> None:
 def kicked_spectra(params: KickedTopParams, ns):
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in `ns`, ascending.
 
-    U_T is split once into its two parity blocks, which must reproduce it
-    to DRIFT_TOL. One power stream runs over both blocks, stacked with the
+    U_T is moved once into the local parity basis W1 x W2, where its parity
+    blocks are boolean-mask slices and its entries off them must stay below
+    DRIFT_TOL. One power stream runs over both blocks, stacked with the
     smaller one padded by a 1 on the diagonal, at the coarsest stride that
     still hits every requested n; it checks unitarity at each sample. Each
-    wanted power is joined back to the product basis, and its spectrum must
-    meet the sum rule to SUM_RULE_TOL.
+    wanted power is scattered into a zero D x D matrix in the same basis,
+    whose Schmidt spectrum is that of U_T^n and must meet the sum rule to
+    SUM_RULE_TOL.
     """
     wanted = set(ns)
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    parity = params.parity
-    signs = np.outer(*parity).ravel()
-    u = floquet(params)
-    blocks = reversal_split(u, signs, signs)
-    off = np.abs(reversal_join(*blocks, signs, signs) - u).max()
+    (w1, l1), (w2, l2) = parity_basis(params.top1), parity_basis(params.top2)
+    w = kron(w1, w2)
+    u = w.conj().T @ floquet(params) @ w
+    r = np.outer(l1, l2).ravel() > 0
+    masks = (np.ix_(r, r), np.ix_(~r, ~r))
+    off = np.abs(u[r[:, None] != r]).max()
     if off > DRIFT_TOL:
         raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
                          f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
+    blocks = [u[mask] for mask in masks]
     sizes = [len(b) for b in blocks]
     h = max(sizes)
     stack = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy()
     for layer, block, size in zip(stack, blocks, sizes):
         layer[:size, :size] = block
-    del u, blocks  # the stream needs only the stack; this keeps peak memory down
+    del u, w, blocks  # the stream needs only the stack; this keeps peak memory down
     for sample in power_sequence(stack, max(wanted), math.gcd(*wanted)):
         if sample.n not in wanted:
             continue
-        power = reversal_join(*(m[:k, :k] for m, k in zip(sample.matrix, sizes)), signs, signs)
-        spec = schmidt_spectrum(power, dims, parity)
+        power = np.zeros((dims.total, dims.total), dtype=np.complex128)
+        for layer, mask, size in zip(sample.matrix, masks, sizes):
+            power[mask] = layer[:size, :size]
+        spec = schmidt_spectrum(power, dims, (l1, l2))
         _check_sum_rule(spec, f"power n={sample.n}")
         yield sample.n, spec
 
@@ -200,10 +222,10 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     still complete. Raises after the grid if any point failed, or if the
     output directory is unusable.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values]
-    with ProcessPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
+    workers = _worker_count(len(tasks))
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_try_sweep_point, tasks))
     failures = [r for r in results if isinstance(r, str)]
     for failure in failures:
@@ -263,9 +285,10 @@ def _run_spectrum_point(args):
 
 def run_spectrum(cfg: SpectrumConfig) -> list[tuple[Path, Path, str, float]]:
     """Per j2: eigenvalue dump, histogram CSV and a fit-distance report line."""
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, j2) for j2 in cfg.j2_values]
-    with ProcessPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
+    workers = _worker_count(len(tasks))
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_run_spectrum_point, tasks))
     for _, _, report, _ in results:
         print(report)
@@ -284,9 +307,7 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
     alphas = list(alpha_values)
     if not alphas:
         raise ValueError("alpha list must be non-empty")
-    for alpha in alphas:
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha:g}")
+    _check_finite("alpha", alphas)
     j1, j2 = min(j1, j2), max(j1, j2)
     _check_spins(j1, j2)
     if 0.0 not in alphas:

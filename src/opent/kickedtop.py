@@ -10,9 +10,10 @@ rotation; `schmidt.schmidt_spectrum` accepts such a diagonal directly.
 
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
-and the precession about y unchanged. `KickedTopParams.parity` gives R as
-per-top signed reversals, and `power_sequence` powers a stack of matrices,
-such as the two parity blocks of U_T, side by side.
+and the precession about y unchanged. In the local Jy eigenbases
+(`spin.parity_basis`) R is diagonal, so U_T splits into two parity blocks,
+and `power_sequence` powers a stack of matrices, such as those blocks, side
+by side.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import expi_hermitian, kron, unitarity_residual
-from .spin import SpinSystem, jy, parity_signs
+from .spin import SpinSystem, jy
 
 # Abort threshold for unitarity drift during repeated multiplication.
 DRIFT_TOL = 1e-8
@@ -68,11 +69,6 @@ class KickedTopParams:
     @property
     def top2(self) -> SpinSystem:
         return SpinSystem.from_j(self.j2)
-
-    @property
-    def parity(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-top signs of the parity exp(-i pi Jy1) x exp(-i pi Jy2), a symmetry of U_T."""
-        return parity_signs(self.top1), parity_signs(self.top2)
 
 
 def free_rotation(s: SpinSystem) -> np.ndarray:

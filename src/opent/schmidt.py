@@ -7,10 +7,13 @@ the n^2 x m^2 coefficient matrix whose singular values squared are the
 operator Schmidt coefficients. Entropies of the normalized coefficients
 quantify the operator's entangling power.
 
-An operator that commutes with a product of signed reversals P1 x P2 (such
-as the kicked-top parity) has a realigned matrix that is block diagonal in
-the eigenbases of P1 x P1 and P2 x P2. `schmidt_spectrum` then takes the
-singular values of its two blocks, about a quarter of the work of one SVD.
+An operator that commutes with a product parity diag(l1) x diag(l2) of
++-1 labels (such as the kicked-top parity, once each top is in its Jy
+eigenbasis) has a realigned matrix that is block diagonal: row (a, b) and
+column (c, d') meet only where l1[a] l1[b] = l2[c] l2[d']. `schmidt_spectrum`
+then takes the singular values of the two blocks, index-mask slices, about a
+quarter of the work of one SVD. Local unitaries leave the spectrum unchanged,
+so an operator may be moved into such a basis first.
 
 A diagonal operator U = diag(phi) may be passed as the vector phi of its
 n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, reversal_split, singular_values
+from .linalg import as_matrix, singular_values
 
 # Coefficients below this fraction of the largest one count as zero for
 # rank reporting; they are kept in entropy sums.
@@ -93,12 +96,12 @@ def schmidt_spectrum(u, d: BipartitionDims, parity=None) -> SchmidtSpectrum:
 
     `u` is a matrix, or the 1-d vector of the diagonal of a diagonal
     operator; a vector takes one SVD of its n x m reshape and ignores
-    `parity`. `parity` is a pair of sign vectors (s1, s2), of lengths n
-    and m, of signed reversals P_i e_a = s_i[a] e_{dim-1-a} whose product commutes
-    with u. The realigned matrix X then satisfies X = (P1 x P1) X (P2 x P2)^T
-    and its singular values are those of its two parity blocks. The
-    off-block part is not checked: a u that breaks the symmetry loses that
-    part's mass from the spectrum.
+    `parity`. `parity` is a pair of +-1 label vectors (l1, l2), of lengths
+    n and m, such that u commutes with diag(l1) x diag(l2). The realigned
+    matrix X is then zero outside the blocks of rows (a, b) and columns
+    (c, d') with l1[a] l1[b] = l2[c] l2[d'] = +-1, and its singular values
+    are those of the two blocks. The off-block part is not checked: a u that
+    breaks the symmetry loses that part's mass from the spectrum.
     """
     if np.ndim(u) == 1:
         if len(u) != d.total:
@@ -110,8 +113,9 @@ def schmidt_spectrum(u, d: BipartitionDims, parity=None) -> SchmidtSpectrum:
     if parity is None:
         sigma = singular_values(x)
     else:
-        s1, s2 = parity
-        blocks = reversal_split(x, np.outer(s1, s1).ravel(), np.outer(s2, s2).ravel())
+        l1, l2 = parity
+        rows, cols = np.outer(l1, l1).ravel() > 0, np.outer(l2, l2).ravel() > 0
+        blocks = x[np.ix_(rows, cols)], x[np.ix_(~rows, ~cols)]
         del x  # free the realigned matrix before the SVDs copy the blocks
         sigma = np.sort(np.concatenate([singular_values(b) for b in blocks]))[::-1]
     return SchmidtSpectrum(lambdas=sigma[: d.n * d.n] ** 2, dims=d)

@@ -2,6 +2,8 @@
 
 Basis ordering is m = -j, -j+1, ..., +j ascending, so the array index of
 |j, m> is m + j. Half-integer spins are represented exactly by storing 2j.
+`parity_basis` gives the Jy eigenbasis, in which the pi rotation about y
+is diagonal.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import eigh
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,14 @@ def jy(s: SpinSystem) -> np.ndarray:
     return (p - p.conj().T) / 2j
 
 
-def parity_signs(s: SpinSystem) -> np.ndarray:
-    """Signs of the pi rotation about y as a signed reversal of the basis.
+def parity_basis(s: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis w of Jy, m ascending, and the parity label of each column.
 
-    exp(-i pi Jy) |j, m> = (-1)^(j-m) |j, -m>, so basis vector i goes to
-    sign[i] times basis vector dim-1-i, with j - m = 2j - i.
+    Column i has Jy = m = i - j, so exp(-i pi Jy) = e^{-i pi j} w diag(labels) w^dag
+    with labels (-1)^(j-m) = (-1)^(2j-i).
     """
-    return (-1.0) ** np.arange(s.two_j, -1, -1)
+    _, w = eigh(jy(s))
+    return w, (-1.0) ** np.arange(s.two_j, -1, -1)
 
 
 def basis_state(s: SpinSystem, m: float) -> np.ndarray:

@@ -170,11 +170,27 @@ def test_cli_error_is_one_line_nonzero(tmp_path):
     ["spectrum", "--j1", "0.5", "--j2", "0.5", "--window", "0,8,4", "--bins", "5"],
     ["diagonal", "--j1", "0", "--j2", "1", "--alpha", "0.5"],
     ["diagonal", "--j1", "1.3", "--j2", "1", "--alpha", "0.5"],
+    ["sweep", "--j1", "inf", "--j2", "inf", "--k", "6", "--eps", "1", "--nmax", "2", "--stride", "1"],
+    ["diagonal", "--j1", "inf", "--j2", "1", "--alpha", "0.5"],
+    ["sweep", "--j1", "1", "--j2", "1", "--k", "nan", "--eps", "1", "--nmax", "2", "--stride", "1"],
+    ["spectrum", "--j1", "1", "--j2", "1", "--k", "inf", "--window", "2,4,2", "--bins", "5"],
+    ["spectrum", "--j1", "1", "--j2", "1", "--eps", "nan", "--window", "2,4,2", "--bins", "5"],
 ])
 def test_cli_bad_spin_or_window_fails_before_any_work(tmp_path, args):
     res = run_cli([*args, "--out", str(tmp_path / "out")])
     assert res.returncode == 1
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ValueError:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--j1", "0.5", "--j2", "0.5", "--k", "6", "--eps", "1", "--nmax", "2", "--stride", "1"],
+    ["spectrum", "--j1", "0.5", "--j2", "0.5", "--window", "2,4,2", "--bins", "5"],
+])
+def test_cli_malformed_worker_count_fails_before_any_output(tmp_path, args):
+    res = run_cli([*args, "--out", str(tmp_path / "out")], env_extra={"OPENT_WORKERS": "abc"})
+    assert res.returncode == 1
+    assert res.stderr == "error: ValueError: OPENT_WORKERS must be an integer, got 'abc'\n"
     assert not (tmp_path / "out").exists()
 
 

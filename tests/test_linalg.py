@@ -125,45 +125,3 @@ def test_unitarity_residual_of_a_stack():
     with pytest.raises(ValueError, match="square"):
         linalg.unitarity_residual(np.ones((2, 3, 4)))
 
-
-def _signed_reversal(signs):
-    """Dense matrix of e_i -> signs[i] e_{D-1-i}."""
-    d = len(signs)
-    p = np.zeros((d, d), dtype=np.complex128)
-    p[d - 1 - np.arange(d), np.arange(d)] = signs
-    return p
-
-
-def _reversal_signs(rng, d, square):
-    """Random signs with s_i s_{D-1-i} = square for every i (square = 1 if d is odd)."""
-    s = rng.choice([-1.0, 1.0], size=d)
-    s[d - 1 - np.arange(d // 2)] = square * s[: d // 2]
-    return s
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_reversal_split_blocks_an_intertwiner(seed, rows, cols, negative_square):
-    rng = np.random.default_rng(seed)
-    if negative_square:  # only even dimensions have reversals that square to -1
-        rows, cols = 2 * rows, 2 * cols
-    square = -1.0 if negative_square else 1.0
-    rs, cs = _reversal_signs(rng, rows, square), _reversal_signs(rng, cols, square)
-    p, q = _signed_reversal(rs), _signed_reversal(cs)
-    a = random_complex(rng, rows, cols)
-    a = (a + p @ a @ q.conj().T) / 2  # now a q = p a
-    first, second = linalg.reversal_split(a, rs, cs)
-    assert first.shape[0] + second.shape[0] == rows
-    assert first.shape[1] + second.shape[1] == cols
-    np.testing.assert_allclose(linalg.reversal_join(first, second, rs, cs), a, atol=1e-13)
-    merged = np.sort(np.concatenate([linalg.singular_values(first), linalg.singular_values(second)]))
-    full = np.linalg.svd(a, compute_uv=False)
-    # blocks of mismatched shapes leave some of the zero singular values out
-    np.testing.assert_allclose(np.pad(merged[::-1], (0, full.size - merged.size)), full, atol=1e-12)
-
-
-def test_reversal_split_rejects_mismatched_reversals():
-    with pytest.raises(ValueError, match="shape"):
-        linalg.reversal_split(np.eye(3), [1, 1, 1], [1, 1])
-    with pytest.raises(ValueError, match="same square"):
-        linalg.reversal_split(np.eye(2), [1, 1], [1, -1])

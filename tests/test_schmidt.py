@@ -16,7 +16,7 @@ from opent import (
 )
 from opent.kickedtop import product_rotation
 from opent.linalg import expi_hermitian, hs_inner, kron
-from opent.spin import jy, parity_signs
+from opent.spin import jy, parity_basis
 from conftest import CNOT, random_complex, random_unitary, swap_operator
 
 D22 = BipartitionDims(2, 2)
@@ -187,7 +187,9 @@ def test_parity_blocks_give_the_full_spectrum(spins, seed):
     r = kron(expi_hermitian(jy(s1), np.pi), expi_hermitian(jy(s2), np.pi))
     u = random_unitary(np.random.default_rng(seed), d.total)
     u = (u + r @ u @ r.conj().T) / 2  # commutes with the parity r
-    got = schmidt_spectrum(u, d, (parity_signs(s1), parity_signs(s2)))
+    (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
+    w = kron(w1, w2)
+    got = schmidt_spectrum(w.conj().T @ u @ w, d, (l1, l2))
     assert got.lambdas.size == d.n**2
     assert np.all(np.diff(got.lambdas) <= 0)
     np.testing.assert_allclose(got.lambdas, schmidt_spectrum(u, d).lambdas, atol=1e-12)

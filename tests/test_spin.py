@@ -3,7 +3,7 @@ import pytest
 
 from opent import SpinSystem, basis_state, jx, jy, jz
 from opent.linalg import eigh, expi_hermitian
-from opent.spin import parity_signs
+from opent.spin import parity_basis
 
 HALF = SpinSystem(1)
 ONE = SpinSystem(2)
@@ -93,9 +93,9 @@ def test_basis_state_out_of_range():
 
 
 @pytest.mark.parametrize("j", [0.5, 1, 1.5, 10, 12.5])
-def test_parity_signs_are_the_pi_rotation_about_y(j):
+def test_parity_basis_diagonalizes_the_pi_rotation_about_y(j):
     s = SpinSystem.from_j(j)
-    signs = parity_signs(s)
-    reversal = np.zeros((s.dim, s.dim))
-    reversal[s.dim - 1 - np.arange(s.dim), np.arange(s.dim)] = signs
-    np.testing.assert_allclose(expi_hermitian(jy(s), np.pi), reversal, atol=1e-13)
+    w, labels = parity_basis(s)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(s.dim), atol=1e-13)
+    rotated = w.conj().T @ expi_hermitian(jy(s), np.pi) @ w
+    np.testing.assert_allclose(rotated, np.exp(-1j * np.pi * s.j) * np.diag(labels), atol=1e-13)
