@@ -8,15 +8,18 @@ Subcommands:
 
 `sweep` and `spectrum` share one stream of Schmidt spectra, `kicked_spectra`.
 It moves U_T once into the local parity basis (the Jy eigenbasis of each
-top, see kickedtop), where the parity blocks are index-mask slices, powers
-the two blocks, and takes each wanted U_T^n's Schmidt spectrum per parity
-block in that basis, with no change back to the product basis; local
-unitaries do not change the spectrum. It checks the symmetry of U_T,
-unitarity and the sum rule sum(lambda) = N M as it goes. `diagonal` hands
-the diagonals of exp(-i alpha Jz x Jz) and of a product rotation to
-`schmidt_spectrum` as vectors, so each spectrum is one SVD of an N x M phase
-matrix, and holds each to the same sum rule. Spins, windows, k, eps, alphas
-and OPENT_WORKERS are validated before any output is written.
+top, see kickedtop), where the parity blocks are index-mask slices, and
+powers the two blocks side by side by a step U_T^s formed once, s being
+the sampling stride. Each wanted U_T^n's two realigned parity blocks are
+gathered straight from the powered blocks through an index map built once,
+so no D x D power is formed and nothing is changed back to the product
+basis; local unitaries do not change the spectrum. It checks the symmetry
+of U_T, unitarity and the sum rule sum(lambda) = N M as it goes.
+`diagonal` hands the diagonals of exp(-i alpha Jz x Jz) and of a product
+rotation to `schmidt_spectrum` as vectors, so each spectrum is one SVD of
+an N x M phase matrix, and holds each to the same sum rule. Spins,
+windows, k, eps, alphas and OPENT_WORKERS are validated before any output
+is written.
 Parameters come from an optional `key=value` config file (# comments
 allowed) with command-line flags taking precedence. Independent grid
 points run on a process pool of OPENT_WORKERS processes, capped by the
@@ -41,7 +44,9 @@ from .kickedtop import (
 )
 from .linalg import kron
 from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
-from .schmidt import BipartitionDims, SchmidtSpectrum, schmidt_spectrum, slin, svn
+from .schmidt import (
+    BipartitionDims, SchmidtSpectrum, parity_gather, parity_stack, schmidt_spectrum, slin, svn,
+)
 from .spin import SpinSystem, parity_basis
 
 
@@ -157,40 +162,30 @@ def _atomic_write(path: Path, text: str) -> None:
 def kicked_spectra(params: KickedTopParams, ns):
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in `ns`, ascending.
 
-    U_T is moved once into the local parity basis W1 x W2, where its parity
-    blocks are boolean-mask slices and its entries off them must stay below
-    DRIFT_TOL. One power stream runs over both blocks, stacked with the
-    smaller one padded by a 1 on the diagonal, at the coarsest stride that
-    still hits every requested n; it checks unitarity at each sample. Each
-    wanted power is scattered into a zero D x D matrix in the same basis,
-    whose Schmidt spectrum is that of U_T^n and must meet the sum rule to
-    SUM_RULE_TOL.
+    U_T is moved once into the local parity basis W1 x W2, where
+    `parity_stack` cuts its two parity blocks into a padded stack; its
+    entries off them must stay below DRIFT_TOL. The stack is powered by a
+    step U_T^s formed once by repeated squaring, s being the coarsest stride
+    that still hits every requested n, so each sample costs one product;
+    unitarity is checked at each. The two realigned parity blocks of each
+    wanted power are gathered straight from the powered stack through an
+    index map built once (`parity_gather`), so no D x D power is formed.
+    Each spectrum must meet the sum rule to SUM_RULE_TOL.
     """
     wanted = set(ns)
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     (w1, l1), (w2, l2) = parity_basis(params.top1), parity_basis(params.top2)
     w = kron(w1, w2)
-    u = w.conj().T @ floquet(params) @ w
-    r = np.outer(l1, l2).ravel() > 0
-    masks = (np.ix_(r, r), np.ix_(~r, ~r))
-    off = np.abs(u[r[:, None] != r]).max()
+    stack, off = parity_stack(w.conj().T @ floquet(params) @ w, l1, l2)
     if off > DRIFT_TOL:
         raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
                          f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
-    blocks = [u[mask] for mask in masks]
-    sizes = [len(b) for b in blocks]
-    h = max(sizes)
-    stack = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy()
-    for layer, block, size in zip(stack, blocks, sizes):
-        layer[:size, :size] = block
-    del u, w, blocks  # the stream needs only the stack; this keeps peak memory down
+    del w  # the stream needs only the stack; this keeps peak memory down
+    gather = parity_gather(l1, l2)
     for sample in power_sequence(stack, max(wanted), math.gcd(*wanted)):
         if sample.n not in wanted:
             continue
-        power = np.zeros((dims.total, dims.total), dtype=np.complex128)
-        for layer, mask, size in zip(sample.matrix, masks, sizes):
-            power[mask] = layer[:size, :size]
-        spec = schmidt_spectrum(power, dims, (l1, l2))
+        spec = schmidt_spectrum(sample.matrix, dims, gather)
         _check_sum_rule(spec, f"power n={sample.n}")
         yield sample.n, spec
 

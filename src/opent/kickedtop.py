@@ -11,9 +11,10 @@ rotation; `schmidt.schmidt_spectrum` accepts such a diagonal directly.
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
 and the precession about y unchanged. In the local Jy eigenbases
-(`spin.parity_basis`) R is diagonal, so U_T splits into two parity blocks,
-and `power_sequence` powers a stack of matrices, such as those blocks, side
-by side.
+(`spin.parity_basis`) R is diagonal, so U_T splits into two parity blocks.
+`power_sequence` powers a stack of matrices, such as those blocks, side by
+side: it forms u^stride once by repeated squaring and then takes one
+product per sample.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import numpy as np
 from .linalg import expi_hermitian, kron, unitarity_residual
 from .spin import SpinSystem, jy
 
-# Abort threshold for unitarity drift during repeated multiplication.
+# Abort threshold for unitarity drift of the powers.
 DRIFT_TOL = 1e-8
 
 
 class UnitarityDriftError(RuntimeError):
-    """Raised when repeated multiplication loses unitarity."""
+    """Raised when a power of a unitary loses unitarity."""
 
     def __init__(self, n: int, residual: float):
         super().__init__(f"unitarity residual {residual:.3e} exceeds {DRIFT_TOL:g} at power n={n}")
@@ -125,18 +126,21 @@ def power_sequence(u: np.ndarray, n_max: int, sample_stride: int = 1) -> Iterato
     """Yield (n, u^n, unitarity residual) for n = stride, 2*stride, ... <= n_max.
 
     `u` is a matrix or a stack (..., d, d) of matrices powered side by side.
-    Powers are accumulated by repeated multiplication; the residual is
-    checked at every yielded sample and a UnitarityDriftError aborts the
-    stream if it exceeds DRIFT_TOL.
+    The step u^stride is formed once by repeated squaring, and each sample
+    is the one before times that step: one product per sample, whatever the
+    stride. The residual is checked at every yielded sample and a
+    UnitarityDriftError aborts the stream if it exceeds DRIFT_TOL. The
+    yielded matrix is the stream's own running power, so it is read-only.
     """
     if n_max < 1 or sample_stride < 1:
         raise ValueError("n_max and sample_stride must be positive")
-    u = np.asarray(u, dtype=np.complex128)
-    acc = np.broadcast_to(np.eye(u.shape[-1], dtype=np.complex128), u.shape).copy()
-    for n in range(1, n_max + 1):
-        acc = acc @ u
-        if n % sample_stride == 0:
-            res = unitarity_residual(acc)
-            if res > DRIFT_TOL:
-                raise UnitarityDriftError(n, res)
-            yield PowerSample(n, acc.copy(), res)
+    step = np.linalg.matrix_power(np.array(u, dtype=np.complex128), sample_stride)
+    acc = step
+    for n in range(sample_stride, n_max + 1, sample_stride):
+        if n > sample_stride:
+            acc = acc @ step
+        acc.flags.writeable = False
+        res = unitarity_residual(acc)
+        if res > DRIFT_TOL:
+            raise UnitarityDriftError(n, res)
+        yield PowerSample(n, acc, res)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opent import (
     BipartitionDims,
@@ -20,6 +22,7 @@ from opent import (
 from opent.linalg import expi_hermitian, hs_inner, kron, unitarity_residual
 from opent.spin import jy
 from opent.states import product_basis_state
+from conftest import random_unitary
 
 HALF = SpinSystem(1)
 J10 = SpinSystem.from_j(10)
@@ -156,6 +159,39 @@ def test_power_sequence_drift_aborts():
     drifting = (1 + 1e-4) * np.eye(2)
     with pytest.raises(UnitarityDriftError, match="residual"):
         list(power_sequence(drifting, 2, 1))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layers=st.integers(1, 3),
+    dim=st.integers(1, 6),
+    stride=st.integers(1, 9),
+    n_max=st.integers(1, 60),
+)
+@settings(max_examples=40, deadline=None)
+def test_power_sequence_strides_match_matrix_powers(seed, layers, dim, stride, n_max):
+    rng = np.random.default_rng(seed)
+    u = np.stack([random_unitary(rng, dim) for _ in range(layers)])
+    samples = list(power_sequence(u, n_max, stride))
+    assert [s.n for s in samples] == list(range(stride, n_max + 1, stride))
+    for s in samples:
+        np.testing.assert_allclose(s.matrix, np.linalg.matrix_power(u, s.n), rtol=0, atol=1e-12)
+        assert s.residual == unitarity_residual(s.matrix)
+
+
+def test_power_sequence_yields_read_only_powers():
+    u = 1j * np.eye(2)
+    for s in power_sequence(u, 6, 2):
+        with pytest.raises(ValueError, match="read-only"):
+            s.matrix[0, 0] = 0
+    assert u.flags.writeable
+
+
+def test_power_sequence_drift_aborts_at_the_first_strided_sample():
+    drifting = (1 + 1e-4) * np.eye(2)
+    with pytest.raises(UnitarityDriftError, match="residual") as info:
+        list(power_sequence(drifting, 12, 4))
+    assert info.value.n == 4
 
 
 def test_diagonal_coupling_eigenvalues():

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +6,10 @@ from hypothesis import strategies as st
 
 from opent import (
     BipartitionDims,
+    KickedTopParams,
     SchmidtSpectrum,
     SpinSystem,
+    cli,
     operator_entanglement,
     realign,
     reshape_vec,
@@ -16,6 +19,7 @@ from opent import (
 )
 from opent.kickedtop import product_rotation
 from opent.linalg import expi_hermitian, hs_inner, kron
+from opent.schmidt import parity_gather, parity_stack
 from opent.spin import jy, parity_basis
 from conftest import CNOT, random_complex, random_unitary, swap_operator
 
@@ -176,12 +180,8 @@ def test_entropy_bounds(rng):
 SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
-@given(
-    spins=st.sampled_from([(a, b) for a in SPINS for b in SPINS if a <= b]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=30, deadline=None)
-def test_parity_blocks_give_the_full_spectrum(spins, seed):
+def _parity_symmetric(spins, seed):
+    """A random unitary's parity-symmetric part u, its dims, and the pair (W^dag u W, labels)."""
     s1, s2 = (SpinSystem.from_j(j) for j in spins)
     d = BipartitionDims(s1.dim, s2.dim)
     r = kron(expi_hermitian(jy(s1), np.pi), expi_hermitian(jy(s2), np.pi))
@@ -189,10 +189,104 @@ def test_parity_blocks_give_the_full_spectrum(spins, seed):
     u = (u + r @ u @ r.conj().T) / 2  # commutes with the parity r
     (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
     w = kron(w1, w2)
-    got = schmidt_spectrum(w.conj().T @ u @ w, d, (l1, l2))
+    return u, d, w.conj().T @ u @ w, (l1, l2)
+
+
+@given(
+    spins=st.sampled_from([(a, b) for a in SPINS for b in SPINS if a <= b]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_parity_blocks_give_the_full_spectrum(spins, seed):
+    u, d, local, labels = _parity_symmetric(spins, seed)
+    stack, off = parity_stack(local, *labels)
+    assert off < 1e-12
+    got = schmidt_spectrum(stack, d, parity_gather(*labels))
     assert got.lambdas.size == d.n**2
     assert np.all(np.diff(got.lambdas) <= 0)
     np.testing.assert_allclose(got.lambdas, schmidt_spectrum(u, d).lambdas, atol=1e-12)
+
+
+@pytest.mark.parametrize("spins", [(a, b) for a in SPINS for b in SPINS if a <= b])
+def test_parity_gather_equals_realigning_the_scattered_blocks(spins):
+    _, d, local, (l1, l2) = _parity_symmetric(spins, 7)
+    stack, _ = parity_stack(local, l1, l2)
+    r = np.outer(l1, l2).ravel() > 0
+    scattered = np.zeros_like(local)
+    for layer, mask in zip(stack, (r, ~r)):
+        size = np.count_nonzero(mask)
+        scattered[np.ix_(mask, mask)] = layer[:size, :size]
+    x = realign(scattered, d)
+    rows, cols = np.outer(l1, l1).ravel() > 0, np.outer(l2, l2).ravel() > 0
+    even, odd = parity_gather(l1, l2)
+    np.testing.assert_array_equal(np.take(stack, even), x[np.ix_(rows, cols)])
+    np.testing.assert_array_equal(np.take(stack, odd), x[np.ix_(~rows, ~cols)])
+
+
+def test_a_stack_without_its_gather_raises():
+    _, d, local, labels = _parity_symmetric((1.0, 1.5), 3)
+    stack, _ = parity_stack(local, *labels)
+    with pytest.raises(ValueError, match="gather"):
+        schmidt_spectrum(stack, d)
+    with pytest.raises(ValueError, match="gather"):
+        schmidt_spectrum(stack, BipartitionDims(2, 3), parity_gather(*labels))
+
+
+WEAK = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.0, 1.5)]
+
+
+def _mp_entropies(lt):
+    """(S_V, S_L) of 40-digit normalized coefficients that sum to 1."""
+    s_vn = -mpmath.fsum(x * mpmath.log(x) for x in lt if x > 0)
+    return s_vn, 1 - mpmath.fsum(x**2 for x in lt)
+
+
+@pytest.mark.parametrize("spins", WEAK + [(1.5, 2.0)])
+def test_entropies_of_a_spectrum_match_a_40_digit_reference(spins):
+    # weak coupling: lt_0 is about 1 - 1e-6, so 1 - sum lt^2 would cancel
+    with mpmath.workdps(40):
+        for n, spec in cli.kicked_spectra(KickedTopParams(*spins, 6.0, 6.0, 1e-3), range(1, 11)):
+            tail = [mpmath.mpf(float(x)) for x in spec.normalized[1:]]
+            s_vn, s_lin = _mp_entropies([1 - mpmath.fsum(tail), *tail])
+            assert 0 < s_lin < 1e-3
+            assert abs(slin(spec) - s_lin) <= 1e-14 * s_lin, n
+            assert abs(svn(spec) - s_vn) <= 1e-14 * s_vn, n
+
+
+def _mp_floquet(j1, j2, k, eps):
+    """U_T of the kicked tops at the working precision, in the product Jz basis."""
+    def top(j):
+        m = [mpmath.mpf(i) - j for i in range(round(2 * j) + 1)]
+        y = mpmath.zeros(len(m))  # Jy
+        for i in range(len(m) - 1):
+            y[i + 1, i] = mpmath.sqrt(j * (j + 1) - m[i] * (m[i] + 1)) / 2j
+            y[i, i + 1] = -y[i + 1, i]
+        torsion = mpmath.diag([mpmath.exp(-1j * mpmath.mpf(k) / (2 * j) * x**2) for x in m])
+        return torsion * mpmath.expm(-1j * mpmath.pi / 2 * y), m
+
+    (u1, m1), (u2, m2) = top(j1), top(j2)
+    n, m = len(m1), len(m2)
+    u = mpmath.zeros(n * m)
+    for a, b, c, e in np.ndindex(n, n, m, m):
+        phase = mpmath.exp(-1j * eps / mpmath.sqrt(j1 * j2) * m1[a] * m2[c])
+        u[a * m + c, b * m + e] = phase * u1[a, b] * u2[c, e]
+    return u
+
+
+@pytest.mark.parametrize("spins", WEAK)
+def test_weak_coupling_entropies_match_a_40_digit_evolution(spins):
+    # the float SVD bounds this at a few 1e-14; 1 - sum lt^2 misses by 1e-10 and more
+    d = BipartitionDims(*(SpinSystem.from_j(j).dim for j in spins))
+    order = realign(np.arange(d.total**2).reshape(d.total, d.total), d).real.astype(int)
+    with mpmath.workdps(40):
+        u = _mp_floquet(*spins, 6.0, 1e-3)
+        power = mpmath.eye(d.total)
+        for n, spec in cli.kicked_spectra(KickedTopParams(*spins, 6.0, 6.0, 1e-3), range(1, 11)):
+            power = power * u  # n runs 1, 2, 3, ...
+            x = mpmath.matrix([[power[i // d.total, i % d.total] for i in row] for row in order])
+            s_vn, s_lin = _mp_entropies([s**2 / d.total for s in mpmath.svd_c(x, compute_uv=False)])
+            assert abs(slin(spec) - s_lin) <= 1e-13 * s_lin, n
+            assert abs(svn(spec) - s_vn) <= 1e-13 * s_vn, n
 
 
 @given(
