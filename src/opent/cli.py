@@ -7,24 +7,24 @@ Subcommands:
   saturation  closed-form entropy plateau of the Laguerre law
 
 `sweep` and `spectrum` share one stream of Schmidt spectra, `kicked_spectra`.
-It moves U_T once into the local parity basis (the Jy eigenbasis of each
-top, see kickedtop), where the parity blocks are index-mask slices, and
-powers the two blocks side by side by a step U_T^s formed once, s being
-the sampling stride. Each wanted U_T^n's two realigned parity blocks are
-gathered straight from the powered blocks through an index map built once,
-so no D x D power is formed and nothing is changed back to the product
-basis; local unitaries do not change the spectrum. It checks the symmetry
-of U_T, unitarity and the sum rule sum(lambda) = N M as it goes.
+It builds U_T straight in the local parity basis (the Jy eigenbasis of each
+top, `kickedtop.parity_floquet`), where the parity blocks are index-mask
+slices, and powers the two blocks side by side from the first wanted power
+on by a step U_T^s formed once, s being the sampling stride. Each wanted
+U_T^n's two realigned parity blocks are gathered straight from the powered
+blocks through an index map built once, so no D x D power is formed and
+nothing is changed back to the product basis; local unitaries do not change
+the spectrum. It checks the symmetry of U_T, unitarity and the sum rule.
 `diagonal` hands the diagonals of exp(-i alpha Jz x Jz) and of a product
 rotation to `schmidt_spectrum` as vectors, so each spectrum is one SVD of
 an N x M phase matrix, and holds each to the same sum rule. Spins,
 windows, k, eps, alphas and OPENT_WORKERS are validated before any output
 is written.
 Parameters come from an optional `key=value` config file (# comments
-allowed) with command-line flags taking precedence. Independent grid
-points run on a process pool of OPENT_WORKERS processes, capped by the
-point and CPU counts; outputs are written atomically and are
-byte-identical for any worker count.
+allowed; a key that is not one of the subcommand's flags is an error) with
+command-line flags taking precedence. Independent grid points run on a
+process pool of OPENT_WORKERS processes, capped by the point and CPU counts;
+outputs are written atomically and are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from pathlib import Path
 import numpy as np
 
 from .kickedtop import (
-    DRIFT_TOL, KickedTopParams, floquet, power_sequence, rotation_phases, zz_phases,
+    DRIFT_TOL, KickedTopParams, parity_floquet, power_sequence, rotation_phases, zz_phases,
 )
-from .linalg import kron
 from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
 from .schmidt import (
     BipartitionDims, SchmidtSpectrum, parity_gather, parity_stack, schmidt_spectrum, slin, svn,
 )
-from .spin import SpinSystem, parity_basis
+from .spin import SpinSystem
 
 
 # Abort threshold for the sum-rule defect |sum(lambda) / (N M) - 1| of one sample.
@@ -162,10 +161,10 @@ def _atomic_write(path: Path, text: str) -> None:
 def kicked_spectra(params: KickedTopParams, ns):
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in `ns`, ascending.
 
-    U_T is moved once into the local parity basis W1 x W2, where
+    U_T is built in the local parity basis W1 x W2 (`parity_floquet`), where
     `parity_stack` cuts its two parity blocks into a padded stack; its
-    entries off them must stay below DRIFT_TOL. The stack is powered by a
-    step U_T^s formed once by repeated squaring, s being the coarsest stride
+    entries off them must stay below DRIFT_TOL. The stack is powered from
+    the smallest requested n on by a step U_T^s, s being the coarsest stride
     that still hits every requested n, so each sample costs one product;
     unitarity is checked at each. The two realigned parity blocks of each
     wanted power are gathered straight from the powered stack through an
@@ -174,15 +173,14 @@ def kicked_spectra(params: KickedTopParams, ns):
     """
     wanted = set(ns)
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    (w1, l1), (w2, l2) = parity_basis(params.top1), parity_basis(params.top2)
-    w = kron(w1, w2)
-    stack, off = parity_stack(w.conj().T @ floquet(params) @ w, l1, l2)
+    u, l1, l2 = parity_floquet(params)
+    stack, off = parity_stack(u, l1, l2)
     if off > DRIFT_TOL:
         raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
                          f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
-    del w  # the stream needs only the stack; this keeps peak memory down
+    del u  # the stream needs only the stack; this keeps peak memory down
     gather = parity_gather(l1, l2)
-    for sample in power_sequence(stack, max(wanted), math.gcd(*wanted)):
+    for sample in power_sequence(stack, max(wanted), math.gcd(*wanted), min(wanted)):
         if sample.n not in wanted:
             continue
         spec = schmidt_spectrum(sample.matrix, dims, gather)
@@ -384,6 +382,8 @@ _DIAGONAL_FLAGS = {
 def _kwargs(args, flags) -> dict:
     """Keyword arguments from the config file and flag overrides; unset ones keep defaults."""
     values = load_config(args.config) if args.config else {}
+    if unknown := sorted(values.keys() - flags.keys()):
+        raise ValueError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
     values.update({f: getattr(args, f) for f in flags if getattr(args, f) is not None})
     return {field: parse(values[f]) for f, (field, parse) in flags.items() if f in values}
 

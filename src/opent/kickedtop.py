@@ -1,20 +1,19 @@
 """Coupled kicked tops: the one-period Floquet operator and its powers.
 
-One period of top i is a free precession exp(-i (pi/2) Jy_i) followed by a
-torsion exp(-i (k_i / 2 j_i) Jz_i^2); the two tops are then coupled through
-exp(-i (eps / sqrt(j1 j2)) Jz_1 Jz_2). Everything here is diagonal in the
-product Jz basis except the precession, so the coupling and torsion factors
-are built directly as diagonal matrices. `zz_phases` and `rotation_phases`
-return just the diagonals of the Jz x Jz couplings and of the product
-rotation; `schmidt.schmidt_spectrum` accepts such a diagonal directly.
+One period of top i is a free precession R_i = exp(-i (pi/2) Jy_i) followed
+by a torsion exp(-i (k_i / 2 j_i) Jz_i^2); the two tops are then coupled
+through exp(-i (eps / sqrt(j1 j2)) Jz_1 Jz_2). The torsions and the coupling
+are diagonal in the product Jz basis, one N x M phase array g
+(`kick_phases`), so U_T = diag(g) (R_1 x R_2). `zz_phases` and
+`rotation_phases` return the diagonals of the Jz x Jz couplings and of the
+product rotation; `schmidt.schmidt_spectrum` accepts such a diagonal.
 
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
 and the precession about y unchanged. In the local Jy eigenbases
-(`spin.parity_basis`) R is diagonal, so U_T splits into two parity blocks.
-`power_sequence` powers a stack of matrices, such as those blocks, side by
-side: it forms u^stride once by repeated squaring and then takes one
-product per sample.
+(`spin.parity_basis`) R is diagonal, so U_T splits into two parity blocks;
+`parity_floquet` builds U_T there with no D x D product. `power_sequence`
+powers such blocks side by side from the first wanted power on.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import expi_hermitian, kron, unitarity_residual
-from .spin import SpinSystem, jy
+from .spin import SpinSystem, jy, parity_basis
 
 # Abort threshold for unitarity drift of the powers.
 DRIFT_TOL = 1e-8
@@ -88,9 +87,14 @@ def zz_phases(s1: SpinSystem, s2: SpinSystem, prefactor: float) -> np.ndarray:
     return np.exp(-1j * prefactor * np.outer(s1.m_values(), s2.m_values())).ravel()
 
 
+def coupling_phases(s1: SpinSystem, s2: SpinSystem, epsilon: float) -> np.ndarray:
+    """Diagonal of the spin-spin coupling exp(-i (eps / sqrt(j1 j2)) Jz x Jz)."""
+    return zz_phases(s1, s2, epsilon / math.sqrt(s1.j * s2.j))
+
+
 def coupling(s1: SpinSystem, s2: SpinSystem, epsilon: float) -> np.ndarray:
     """Spin-spin coupling exp(-i (eps / sqrt(j1 j2)) Jz x Jz)."""
-    return np.diag(zz_phases(s1, s2, epsilon / math.sqrt(s1.j * s2.j)))
+    return np.diag(coupling_phases(s1, s2, epsilon))
 
 
 def diagonal_coupling(s1: SpinSystem, s2: SpinSystem, alpha: float) -> np.ndarray:
@@ -108,12 +112,34 @@ def product_rotation(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
     return np.diag(rotation_phases(s1, s2, p))
 
 
-def floquet(p: KickedTopParams) -> np.ndarray:
-    """One-period evolution: coupling . [(torsion1 rot1) x (torsion2 rot2)]."""
+def kick_phases(p: KickedTopParams) -> np.ndarray:
+    """N x M phases g[a, c] of coupling . (torsion1 x torsion2) at Jz values (m1_a, m2_c)."""
     s1, s2 = p.top1, p.top2
-    u1 = torsion(s1, p.k1) @ free_rotation(s1)
-    u2 = torsion(s2, p.k2) @ free_rotation(s2)
-    return coupling(s1, s2, p.epsilon) @ kron(u1, u2)
+    g = coupling_phases(s1, s2, p.epsilon).reshape(s1.dim, s2.dim)
+    return g * np.outer(np.diag(torsion(s1, p.k1)), np.diag(torsion(s2, p.k2)))
+
+
+def floquet(p: KickedTopParams) -> np.ndarray:
+    """One-period evolution diag(g) (rot1 x rot2): `kick_phases` g scale the rows."""
+    return kick_phases(p).reshape(-1, 1) * kron(free_rotation(p.top1), free_rotation(p.top2))
+
+
+def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W^dag U_T W in the parity basis W = w1 x w2, and the labels l1, l2.
+
+    (w_i, l_i) = `spin.parity_basis(top i)`. There exp(-i (pi/2) Jy) is the
+    column phase exp(-i pi m / 2), so with v = w exp(-i pi m / 2) the entry
+    ((a, c), (b, d)) is sum_xy conj(w1[x,a]) v1[x,b] g[x,y] conj(w2[y,c]) v2[y,d]:
+    one N x N x M contraction and one (N^2 x M)(M x M^2) product.
+    """
+    s1, s2 = p.top1, p.top2
+    (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
+    def pairs(s, w):  # conj(w[x, a]) v[x, b] as an (x, (a, b)) matrix
+        v = w * np.exp(-0.5j * math.pi * s.m_values())
+        return (w.conj()[:, :, None] * v[:, None, :]).reshape(s.dim, s.dim**2)
+    x = (pairs(s1, w1).T @ kick_phases(p)) @ pairs(s2, w2)  # rows (a, b), columns (c, d)
+    n, m = s1.dim, s2.dim
+    return x.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m), l1, l2
 
 
 class PowerSample(NamedTuple):
@@ -122,22 +148,25 @@ class PowerSample(NamedTuple):
     residual: float
 
 
-def power_sequence(u: np.ndarray, n_max: int, sample_stride: int = 1) -> Iterator[PowerSample]:
-    """Yield (n, u^n, unitarity residual) for n = stride, 2*stride, ... <= n_max.
+def power_sequence(u: np.ndarray, n_max: int, sample_stride: int = 1,
+                   start: int | None = None) -> Iterator[PowerSample]:
+    """Yield (n, u^n, unitarity residual) for n = start, start + stride, ... <= n_max.
 
     `u` is a matrix or a stack (..., d, d) of matrices powered side by side.
-    The step u^stride is formed once by repeated squaring, and each sample
-    is the one before times that step: one product per sample, whatever the
-    stride. The residual is checked at every yielded sample and a
-    UnitarityDriftError aborts the stream if it exceeds DRIFT_TOL. The
+    The step u^stride and u^start (start: a multiple of the stride, by default
+    the stride) are formed by repeated squaring, then each sample takes one
+    product by the step. The residual is checked at every yielded sample and
+    a UnitarityDriftError aborts the stream if it exceeds DRIFT_TOL. The
     yielded matrix is the stream's own running power, so it is read-only.
     """
-    if n_max < 1 or sample_stride < 1:
-        raise ValueError("n_max and sample_stride must be positive")
+    start = sample_stride if start is None else start
+    if n_max < 1 or sample_stride < 1 or start < 1 or start % sample_stride:
+        raise ValueError(f"need positive n_max, stride and start, start a multiple of the "
+                         f"stride; got {n_max}, {sample_stride}, {start}")
     step = np.linalg.matrix_power(np.array(u, dtype=np.complex128), sample_stride)
-    acc = step
-    for n in range(sample_stride, n_max + 1, sample_stride):
-        if n > sample_stride:
+    acc = np.linalg.matrix_power(step, start // sample_stride)
+    for n in range(start, n_max + 1, sample_stride):
+        if n > start:
             acc = acc @ step
         acc.flags.writeable = False
         res = unitarity_residual(acc)

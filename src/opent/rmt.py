@@ -52,8 +52,8 @@ class LaguerreLaw:
 
     @classmethod
     def from_dims(cls, n_small: int, m_big: int) -> "LaguerreLaw":
-        if n_small > m_big:
-            raise ValueError("n_small <= m_big required")
+        if not 1 <= n_small <= m_big:
+            raise ValueError(f"1 <= N <= M required, got N={n_small}, M={m_big}")
         return cls(n_small=n_small, q=(m_big / n_small) ** 2)
 
 

@@ -162,6 +162,22 @@ def test_cli_error_is_one_line_nonzero(tmp_path):
     assert err_lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("n, m", [("0", "5"), ("-1", "5"), ("6", "5")])
+def test_cli_saturation_names_a_bad_dimension(n, m):
+    res = run_cli(["saturation", "--n", n, "--m", m])
+    assert res.returncode == 1
+    assert res.stderr == f"error: ValueError: 1 <= N <= M required, got N={n}, M={m}\n"
+
+
+def test_cli_unknown_config_key_fails_before_any_output(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("j1=1\nj2=1\nk=1\neps=0\nnmx=3\nstride=1\n")
+    res = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    assert res.stderr == f"error: ValueError: unknown config key(s) in {cfg}: nmx\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["sweep", "--j1", "10.3", "--j2", "10.3", "--k", "6", "--eps", "1", "--nmax", "2", "--stride", "1"],
     ["sweep", "--j1", "0", "--j2", "1", "--k", "6", "--eps", "1", "--nmax", "2", "--stride", "1"],
@@ -238,16 +254,17 @@ SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 @given(
     spins=st.sampled_from([(a, b) for a in SPINS for b in SPINS if a <= b]),
-    k=st.floats(0.5, 6.0),
+    k1=st.floats(0.5, 6.0),
+    k2=st.floats(0.5, 6.0),
     eps=st.floats(0.0, 1.0),
     window=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 5)),
 )
-@example(spins=(1.0, 1.5), k=6.0, eps=1.0, window=(6, 4, 7))  # 6, 10, ..., 30: gcd 2
+@example(spins=(1.0, 1.5), k1=6.0, k2=2.0, eps=1.0, window=(6, 4, 7))  # 6, 10, ..., 30: gcd 2
 @settings(max_examples=25, deadline=None)
-def test_kicked_spectra_match_matrix_powers(spins, k, eps, window):
+def test_kicked_spectra_match_matrix_powers(spins, k1, k2, eps, window):
     start, stride, count = window
     ns = range(start, start + stride * count, stride)
-    params = KickedTopParams(spins[0], spins[1], k, k, eps)
+    params = KickedTopParams(spins[0], spins[1], k1, k2, eps)
     u = floquet(params)
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     got = list(cli.kicked_spectra(params, ns))

@@ -19,13 +19,17 @@ from opent import (
     product_rotation,
     torsion,
 )
+from opent import kickedtop
+from opent.kickedtop import parity_floquet
 from opent.linalg import expi_hermitian, hs_inner, kron, unitarity_residual
-from opent.spin import jy
+from opent.spin import jy, parity_basis
 from opent.states import product_basis_state
 from conftest import random_unitary
 
 HALF = SpinSystem(1)
 J10 = SpinSystem.from_j(10)
+SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+SPIN_PAIRS = [(a, b) for a in SPINS for b in SPINS if a <= b]
 
 
 def test_params_validation():
@@ -92,6 +96,22 @@ def test_floquet_zero_coupling_is_product():
     assert sl == pytest.approx(0, abs=1e-10)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1.0])
+@pytest.mark.parametrize("j1, j2", SPIN_PAIRS)
+def test_floquet_builds_match_the_dense_factor_products(j1, j2, eps):
+    p = KickedTopParams(j1, j2, 2.5, 5.0, eps)
+    s1, s2 = p.top1, p.top2
+    u1, u2 = torsion(s1, 2.5) @ free_rotation(s1), torsion(s2, 5.0) @ free_rotation(s2)
+    u = floquet(p)
+    np.testing.assert_allclose(u, coupling(s1, s2, eps) @ kron(u1, u2), rtol=0, atol=1e-14)
+    (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
+    w = kron(w1, w2)
+    local, got_l1, got_l2 = parity_floquet(p)
+    np.testing.assert_allclose(local, w.conj().T @ u @ w, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(got_l1, l1)
+    np.testing.assert_array_equal(got_l2, l2)
+
+
 def test_floquet_unitarity_and_norm():
     u = floquet(KickedTopParams.symmetric(10, 6.0, 1.0))
     assert unitarity_residual(u) < 1e-12
@@ -149,10 +169,26 @@ def test_floquet_commutes_with_its_parity(j1, j2):
 
 def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
     p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
-    broken = floquet(p) @ product_rotation(p.top1, p.top2, 0.7)
-    monkeypatch.setattr(cli, "floquet", lambda params: broken)
+    u, l1, l2 = parity_floquet(p)
+    (w1, _), (w2, _) = parity_basis(p.top1), parity_basis(p.top2)
+    w = kron(w1, w2)
+    kick = w.conj().T @ product_rotation(p.top1, p.top2, 0.7) @ w  # R maps it to exp(+i p Jz)
+    monkeypatch.setattr(cli, "parity_floquet", lambda params: (u @ kick, l1, l2))
     with pytest.raises(ValueError, match="breaks the parity"):
         next(cli.kicked_spectra(p, [1, 2]))
+
+
+def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
+    checked = []
+
+    def counting(u):
+        checked.append(u)
+        return unitarity_residual(u)
+
+    monkeypatch.setattr(kickedtop, "unitarity_residual", counting)
+    got = [n for n, _ in cli.kicked_spectra(KickedTopParams(1, 1.5, 6.0, 3.0, 1.0), range(15, 28, 3))]
+    assert got == [15, 18, 21, 24, 27]
+    assert len(checked) == len(got)
 
 
 def test_power_sequence_drift_aborts():
@@ -167,16 +203,24 @@ def test_power_sequence_drift_aborts():
     dim=st.integers(1, 6),
     stride=st.integers(1, 9),
     n_max=st.integers(1, 60),
+    first=st.integers(1, 4),
 )
 @settings(max_examples=40, deadline=None)
-def test_power_sequence_strides_match_matrix_powers(seed, layers, dim, stride, n_max):
+def test_power_sequence_strides_match_matrix_powers(seed, layers, dim, stride, n_max, first):
     rng = np.random.default_rng(seed)
     u = np.stack([random_unitary(rng, dim) for _ in range(layers)])
-    samples = list(power_sequence(u, n_max, stride))
-    assert [s.n for s in samples] == list(range(stride, n_max + 1, stride))
+    start = first * stride
+    samples = list(power_sequence(u, n_max, stride, start))
+    assert [s.n for s in samples] == list(range(start, n_max + 1, stride))
     for s in samples:
         np.testing.assert_allclose(s.matrix, np.linalg.matrix_power(u, s.n), rtol=0, atol=1e-12)
         assert s.residual == unitarity_residual(s.matrix)
+
+
+@pytest.mark.parametrize("stride, start", [(3, 4), (2, 0), (2, -2)])
+def test_power_sequence_rejects_a_start_off_the_stride(stride, start):
+    with pytest.raises(ValueError, match="multiple of the stride"):
+        next(power_sequence(np.eye(2), 20, stride, start))
 
 
 def test_power_sequence_yields_read_only_powers():
