@@ -6,20 +6,13 @@ Subcommands:
   diagonal    operator entanglement of exp(-i alpha Jz x Jz) vs alpha
   saturation  closed-form entropy plateau of the Laguerre law
 
-`sweep` and `spectrum` share one stream of Schmidt spectra, `kicked_spectra`.
-It builds U_T straight in the local parity basis (the Jy eigenbasis of each
-top, `kickedtop.parity_floquet`), where the parity blocks are index-mask
-slices, and powers the two blocks side by side from the first wanted power
-on by a step U_T^s formed once, s being the sampling stride. Each wanted
-U_T^n's two realigned parity blocks are gathered straight from the powered
-blocks through an index map built once, so no D x D power is formed and
-nothing is changed back to the product basis; local unitaries do not change
-the spectrum. It checks the symmetry of U_T, unitarity and the sum rule.
-`diagonal` hands the diagonals of exp(-i alpha Jz x Jz) and of a product
-rotation to `schmidt_spectrum` as vectors, so each spectrum is one SVD of
-an N x M phase matrix, and holds each to the same sum rule. Spins,
-windows, k, eps, alphas and OPENT_WORKERS are validated before any output
-is written.
+`sweep` and `spectrum` read their Schmidt spectra of U_T^n over a range of
+n from `kickedtop.kicked_spectra`. `diagonal` hands the diagonals of
+exp(-i alpha Jz x Jz) and of a product rotation to `schmidt_spectrum` as
+vectors, so each spectrum is one SVD of an N x M phase matrix, and holds
+each to the sum rule. Every grid point is validated by building its
+`KickedTopParams` (`diagonal`: its `SpinSystem`s), and windows, alphas and
+OPENT_WORKERS are checked, before any output is written.
 Parameters come from an optional `key=value` config file (# comments
 allowed; a key that is not one of the subcommand's flags is an error) with
 command-line flags taking precedence. Independent grid points run on a
@@ -39,43 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .kickedtop import (
-    DRIFT_TOL, KickedTopParams, parity_floquet, power_sequence, rotation_phases, zz_phases,
-)
+from .kickedtop import KickedTopParams, kicked_spectra, rotation_phases, zz_phases
 from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
-from .schmidt import (
-    BipartitionDims, SchmidtSpectrum, parity_gather, parity_stack, schmidt_spectrum, slin, svn,
-)
+from .schmidt import BipartitionDims, schmidt_spectrum, slin, svn
 from .spin import SpinSystem
-
-
-# Abort threshold for the sum-rule defect |sum(lambda) / (N M) - 1| of one sample.
-SUM_RULE_TOL = 1e-8
-
-
-def _check_spins(j1: float, *j2s: float) -> None:
-    """Fail unless every spin is a finite half-integer >= 1/2 and no j2 is below j1."""
-    for j in (j1, *j2s):
-        if not 0.5 <= j < math.inf:
-            raise ValueError(f"spin j={j:g} must be finite and at least 1/2")
-        SpinSystem.from_j(j)
-    for j2 in j2s:
-        if j2 < j1:
-            raise ValueError(f"j1 <= j2 required, got j1={j1:g}, j2={j2:g}")
-
-
-def _check_finite(name: str, values) -> None:
-    """Fail on the first value that is infinite or nan."""
-    for x in values:
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x:g}")
-
-
-def _check_sum_rule(spec: SchmidtSpectrum, where: str) -> None:
-    """Fail if a unitary's spectrum misses sum(lambda) = N M by more than SUM_RULE_TOL."""
-    defect = abs(spec.lambdas.sum() / spec.dims.total - 1)
-    if defect > SUM_RULE_TOL:
-        raise RuntimeError(f"sum-rule defect {defect:.3e} exceeds {SUM_RULE_TOL:g} at {where}")
 
 
 def _sweep_name(k: float, eps: float) -> str:
@@ -105,10 +65,10 @@ class SweepConfig:
             raise ValueError("need n_max >= sample_stride >= 1")
         if not self.k_values or not self.eps_values:
             raise ValueError("k and eps lists must be non-empty")
-        _check_finite("k", self.k_values)
-        _check_finite("eps", self.eps_values)
         _reject_repeats(_sweep_name(k, eps) for k in self.k_values for eps in self.eps_values)
-        _check_spins(self.j1, self.j2)
+        for k in self.k_values:
+            for eps in self.eps_values:
+                KickedTopParams(self.j1, self.j2, k, k, eps)
 
 
 @dataclass(frozen=True)
@@ -122,6 +82,9 @@ class SpectrumConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        if len(self.saturation_window) != 3:
+            window = ",".join(map(str, self.saturation_window))
+            raise ValueError(f"window must be start,end,stride, got {window}")
         n_start, n_end, stride = self.saturation_window
         if n_start < 1:
             raise ValueError(f"window start must be a positive step, got {n_start}")
@@ -131,10 +94,9 @@ class SpectrumConfig:
             raise ValueError("window stride must be positive")
         if self.bins < 5:
             raise ValueError("need at least 5 bins")
-        _check_finite("k", (self.k,))
-        _check_finite("eps", (self.eps,))
         _reject_repeats(f"eigenvalues_j2_{j2:g}.txt" for j2 in self.j2_values)
-        _check_spins(self.j1, *self.j2_values)
+        for j2 in self.j2_values:
+            KickedTopParams(self.j1, j2, self.k, self.k, self.eps)
 
 
 def _fmt(x: float) -> str:
@@ -156,36 +118,6 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def kicked_spectra(params: KickedTopParams, ns):
-    """Yield (n, SchmidtSpectrum of U_T^n) for each n in `ns`, ascending.
-
-    U_T is built in the local parity basis W1 x W2 (`parity_floquet`), where
-    `parity_stack` cuts its two parity blocks into a padded stack; its
-    entries off them must stay below DRIFT_TOL. The stack is powered from
-    the smallest requested n on by a step U_T^s, s being the coarsest stride
-    that still hits every requested n, so each sample costs one product;
-    unitarity is checked at each. The two realigned parity blocks of each
-    wanted power are gathered straight from the powered stack through an
-    index map built once (`parity_gather`), so no D x D power is formed.
-    Each spectrum must meet the sum rule to SUM_RULE_TOL.
-    """
-    wanted = set(ns)
-    dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    u, l1, l2 = parity_floquet(params)
-    stack, off = parity_stack(u, l1, l2)
-    if off > DRIFT_TOL:
-        raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
-                         f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
-    del u  # the stream needs only the stack; this keeps peak memory down
-    gather = parity_gather(l1, l2)
-    for sample in power_sequence(stack, max(wanted), math.gcd(*wanted), min(wanted)):
-        if sample.n not in wanted:
-            continue
-        spec = schmidt_spectrum(sample.matrix, dims, gather)
-        _check_sum_rule(spec, f"power n={sample.n}")
-        yield sample.n, spec
 
 
 def sweep_point(j1: float, j2: float, k: float, eps: float, n_max: int, stride: int):
@@ -295,25 +227,25 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
 
     The spins may come in either order; the smaller one is top 1. Each
     spectrum, and that of the product rotation in the closing comment, must
-    meet the sum rule to SUM_RULE_TOL.
+    meet the sum rule.
     """
     alphas = list(alpha_values)
     if not alphas:
         raise ValueError("alpha list must be non-empty")
-    _check_finite("alpha", alphas)
-    j1, j2 = min(j1, j2), max(j1, j2)
-    _check_spins(j1, j2)
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha:g}")
+    s1, s2 = sorted((SpinSystem.from_j(j1), SpinSystem.from_j(j2)), key=lambda s: s.dim)
     if 0.0 not in alphas:
         alphas = [0.0] + alphas
-    s1, s2 = SpinSystem.from_j(j1), SpinSystem.from_j(j2)
     dims = BipartitionDims(s1.dim, s2.dim)
     lines = ["alpha,S_V,S_L"]
     for alpha in alphas:
         spec = schmidt_spectrum(zz_phases(s1, s2, alpha), dims)
-        _check_sum_rule(spec, f"alpha={alpha:g}")
+        spec.check_sum_rule(f"alpha={alpha:g}")
         lines.append(f"{_fmt(alpha)},{_fmt(svn(spec))},{_fmt(slin(spec))}")
     spec = schmidt_spectrum(rotation_phases(s1, s2, 0.7), dims)
-    _check_sum_rule(spec, "the product rotation")
+    spec.check_sum_rule("the product rotation")
     lines.append(f"# S_V(product rotation, p=0.7) = {_fmt(svn(spec))}")
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)

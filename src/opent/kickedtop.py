@@ -13,7 +13,12 @@ m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
 and the precession about y unchanged. In the local Jy eigenbases
 (`spin.parity_basis`) R is diagonal, so U_T splits into two parity blocks;
 `parity_floquet` builds U_T there with no D x D product. `power_sequence`
-powers such blocks side by side from the first wanted power on.
+powers such blocks side by side over a range of exponents.
+
+`kicked_spectra`, the one stream of operator Schmidt spectra of U_T^n that
+the `sweep` and `spectrum` commands share, powers those blocks and takes
+each spectrum from them without forming a D x D power; local unitaries do
+not change the spectrum.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import expi_hermitian, kron, unitarity_residual
+from .schmidt import BipartitionDims, SchmidtSpectrum, parity_gather, parity_stack, schmidt_spectrum
 from .spin import SpinSystem, jy, parity_basis
 
 # Abort threshold for unitarity drift of the powers.
@@ -42,6 +48,8 @@ class UnitarityDriftError(RuntimeError):
 
 @dataclass(frozen=True)
 class KickedTopParams:
+    """Spins j1 <= j2 (each checked by `SpinSystem.from_j`), finite kicks and coupling."""
+
     j1: float
     j2: float
     k1: float
@@ -49,13 +57,13 @@ class KickedTopParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.j1 < 0.5 or self.j2 < 0.5:
-            raise ValueError("spins must be at least 1/2")
-        if self.j1 > self.j2:
-            raise ValueError("j1 <= j2 required (Schmidt analysis assumes dim1 <= dim2)")
+        SpinSystem.from_j(self.j1)
+        SpinSystem.from_j(self.j2)
+        if self.j1 > self.j2:  # the Schmidt analysis takes dim1 <= dim2
+            raise ValueError(f"j1 <= j2 required, got j1={self.j1:g}, j2={self.j2:g}")
         for name in ("k1", "k2", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value:g}")
 
     @classmethod
     def symmetric(cls, j: float, k: float, epsilon: float) -> "KickedTopParams":
@@ -148,28 +156,54 @@ class PowerSample(NamedTuple):
     residual: float
 
 
-def power_sequence(u: np.ndarray, n_max: int, sample_stride: int = 1,
-                   start: int | None = None) -> Iterator[PowerSample]:
-    """Yield (n, u^n, unitarity residual) for n = start, start + stride, ... <= n_max.
+def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
+    """Yield (n, u^n, unitarity residual) for each n in the range `ns`.
 
     `u` is a matrix or a stack (..., d, d) of matrices powered side by side.
-    The step u^stride and u^start (start: a multiple of the stride, by default
-    the stride) are formed by repeated squaring, then each sample takes one
-    product by the step. The residual is checked at every yielded sample and
-    a UnitarityDriftError aborts the stream if it exceeds DRIFT_TOL. The
-    yielded matrix is the stream's own running power, so it is read-only.
+    The first power and the step u^(ns.step) are formed by repeated squaring,
+    the first as a power of the step when the step divides the start; then
+    each sample takes one product by the step. The residual is checked at
+    every sample and a UnitarityDriftError aborts the stream unless it is at
+    most DRIFT_TOL. The yielded matrix is a read-only view of the stream's
+    running power. An empty range yields nothing.
     """
-    start = sample_stride if start is None else start
-    if n_max < 1 or sample_stride < 1 or start < 1 or start % sample_stride:
-        raise ValueError(f"need positive n_max, stride and start, start a multiple of the "
-                         f"stride; got {n_max}, {sample_stride}, {start}")
-    step = np.linalg.matrix_power(np.array(u, dtype=np.complex128), sample_stride)
-    acc = np.linalg.matrix_power(step, start // sample_stride)
-    for n in range(start, n_max + 1, sample_stride):
-        if n > start:
+    if ns.start < 1 or ns.step < 1:
+        raise ValueError(f"need a start and step of at least 1, got {ns}")
+    u = np.asarray(u, dtype=np.complex128)
+    step = np.linalg.matrix_power(u, ns.step)
+    first, rest = divmod(ns.start, ns.step)
+    acc = np.linalg.matrix_power(step, first) if rest == 0 else np.linalg.matrix_power(u, ns.start)
+    for n in ns:
+        if n > ns.start:
             acc = acc @ step
-        acc.flags.writeable = False
         res = unitarity_residual(acc)
-        if res > DRIFT_TOL:
+        if not res <= DRIFT_TOL:
             raise UnitarityDriftError(n, res)
-        yield PowerSample(n, acc, res)
+        power = acc.view()  # acc may be u itself, which stays the caller's to write
+        power.flags.writeable = False
+        yield PowerSample(n, power, res)
+
+
+def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, SchmidtSpectrum]]:
+    """Yield (n, SchmidtSpectrum of U_T^n) for each n in the range `ns`.
+
+    U_T is built in the local parity basis W1 x W2 (`parity_floquet`), where
+    `parity_stack` cuts its two parity blocks into a padded stack; its
+    entries off them must be at most DRIFT_TOL. `power_sequence` powers the
+    stack over `ns`, one product and one unitarity check per sample. The two
+    realigned parity blocks of each power are gathered straight from the
+    powered stack through an index map built once (`parity_gather`), so no
+    D x D power is formed. Each spectrum must meet the sum rule.
+    """
+    dims = BipartitionDims(params.top1.dim, params.top2.dim)
+    u, l1, l2 = parity_floquet(params)
+    stack, off = parity_stack(u, l1, l2)
+    if not off <= DRIFT_TOL:
+        raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
+                         f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
+    del u  # the stream needs only the stack; this keeps peak memory down
+    gather = parity_gather(l1, l2)
+    for sample in power_sequence(stack, ns):
+        spec = schmidt_spectrum(sample.matrix, dims, gather)
+        spec.check_sum_rule(f"power n={sample.n}")
+        yield sample.n, spec

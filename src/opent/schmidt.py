@@ -39,6 +39,9 @@ from .linalg import as_matrix, singular_values
 # rank reporting; they are kept in entropy sums.
 RANK_CUTOFF = 1e-12
 
+# Abort threshold for the sum-rule defect |sum(lambda) / (n m) - 1| of a unitary.
+SUM_RULE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BipartitionDims:
@@ -75,6 +78,12 @@ class SchmidtSpectrum:
         if self.lambdas.size == 0:
             return 0
         return int(np.sum(self.lambdas > RANK_CUTOFF * self.lambdas[0]))
+
+    def check_sum_rule(self, where: str) -> None:
+        """Fail unless sum(lambda) = n m, as for a unitary, to SUM_RULE_TOL (nan fails)."""
+        defect = abs(self.lambdas.sum() / self.dims.total - 1)
+        if not defect <= SUM_RULE_TOL:
+            raise RuntimeError(f"sum-rule defect {defect:.3e} exceeds {SUM_RULE_TOL:g} at {where}")
 
 
 def reshape_vec(a) -> np.ndarray:

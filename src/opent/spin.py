@@ -8,6 +8,7 @@ is diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ class SpinSystem:
 
     @classmethod
     def from_j(cls, j: float) -> "SpinSystem":
+        """The spin j; fails unless j is a finite integer or half-integer >= 1/2."""
+        if not 0.5 <= j < math.inf:
+            raise ValueError(f"spin j={j:g} must be finite and at least 1/2")
         two_j = round(2 * j)
         if abs(two_j - 2 * j) > 1e-12:
             raise ValueError(f"j must be integer or half-integer, got {j}")

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opent import (
-    BipartitionDims, KickedTopParams, UnitarityDriftError, cli, floquet, schmidt, schmidt_spectrum,
+    BipartitionDims, KickedTopParams, UnitarityDriftError, cli, floquet, kickedtop, schmidt,
+    schmidt_spectrum,
 )
 from opent.rmt import Histogram, LaguerreLaw, fit_distance
 
@@ -199,6 +200,14 @@ def test_cli_bad_spin_or_window_fails_before_any_work(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("window", ["1,2", "1,2,3,4"])
+def test_cli_window_of_the_wrong_length_is_named(tmp_path, window):
+    res = run_cli(["spectrum", "--j1", "1", "--j2", "1", "--window", window, "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    assert res.stderr == f"error: ValueError: window must be start,end,stride, got {window}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["sweep", "--j1", "0.5", "--j2", "0.5", "--k", "6", "--eps", "1", "--nmax", "2", "--stride", "1"],
     ["spectrum", "--j1", "0.5", "--j2", "0.5", "--window", "2,4,2", "--bins", "5"],
@@ -259,7 +268,7 @@ SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     eps=st.floats(0.0, 1.0),
     window=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 5)),
 )
-@example(spins=(1.0, 1.5), k1=6.0, k2=2.0, eps=1.0, window=(6, 4, 7))  # 6, 10, ..., 30: gcd 2
+@example(spins=(1.0, 1.5), k1=6.0, k2=2.0, eps=1.0, window=(6, 4, 7))  # 6, 10, ..., 30: start off the step
 @settings(max_examples=25, deadline=None)
 def test_kicked_spectra_match_matrix_powers(spins, k1, k2, eps, window):
     start, stride, count = window
@@ -267,7 +276,7 @@ def test_kicked_spectra_match_matrix_powers(spins, k1, k2, eps, window):
     params = KickedTopParams(spins[0], spins[1], k1, k2, eps)
     u = floquet(params)
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    got = list(cli.kicked_spectra(params, ns))
+    got = list(kickedtop.kicked_spectra(params, ns))
     assert [n for n, _ in got] == list(ns)
     for n, spec in got:
         ref = schmidt_spectrum(np.linalg.matrix_power(u, n), dims)
@@ -276,9 +285,10 @@ def test_kicked_spectra_match_matrix_powers(spins, k1, k2, eps, window):
 
 def test_kicked_spectra_check_the_sum_rule(monkeypatch):
     real = schmidt.singular_values
-    monkeypatch.setattr(schmidt, "singular_values", lambda a: 1.001 * real(a))
-    with pytest.raises(RuntimeError, match="sum-rule defect .* at power n=2"):
-        list(cli.kicked_spectra(KickedTopParams(1, 1, 6.0, 6.0, 1.0), [2, 4]))
+    for factor in (1.001, np.nan):
+        monkeypatch.setattr(schmidt, "singular_values", lambda a: factor * real(a))
+        with pytest.raises(RuntimeError, match="sum-rule defect .* at power n=2"):
+            list(kickedtop.kicked_spectra(KickedTopParams(1, 1, 6.0, 6.0, 1.0), range(2, 5, 2)))
 
 
 @pytest.mark.parametrize("k_values, eps_values", [((1.0, 1.0000001), (1.0,)), ((1.0, 1.0), (0.5,))])

@@ -8,7 +8,6 @@ from opent import (
     KickedTopParams,
     SpinSystem,
     UnitarityDriftError,
-    cli,
     coupling,
     diagonal_coupling,
     floquet,
@@ -39,6 +38,13 @@ def test_params_validation():
         KickedTopParams(1, 1, float("nan"), 1, 0.1)
     with pytest.raises(ValueError, match="at least"):
         KickedTopParams(0, 1, 1, 1, 0.1)
+    with pytest.raises(ValueError, match="j must be integer or half-integer, got 10.3"):
+        KickedTopParams(10.3, 10.3, 1, 1, 0.1)
+    for j in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"spin j={j:g} must be finite"):
+            KickedTopParams(j, j, 1, 1, 0.1)
+    with pytest.raises(ValueError, match="epsilon must be finite, got inf"):
+        KickedTopParams(1, 1, 1, 1, float("inf"))
     p = KickedTopParams.symmetric(10, 6.0, 1.0)
     assert p.top1.dim == p.top2.dim == 21
 
@@ -119,7 +125,7 @@ def test_floquet_unitarity_and_norm():
 
 
 def test_power_sequence_identity():
-    samples = list(power_sequence(np.eye(3), n_max=10, sample_stride=1))
+    samples = list(power_sequence(np.eye(3), range(1, 11)))
     assert [s.n for s in samples] == list(range(1, 11))
     for s in samples:
         np.testing.assert_array_equal(s.matrix, np.eye(3))
@@ -128,7 +134,7 @@ def test_power_sequence_identity():
 
 def test_power_sequence_fourth_root_of_unity():
     u = 1j * np.eye(2)
-    samples = {s.n: s.matrix for s in power_sequence(u, 4, 1)}
+    samples = {s.n: s.matrix for s in power_sequence(u, range(1, 5))}
     np.testing.assert_allclose(samples[4], np.eye(2), atol=1e-15)
 
 
@@ -137,21 +143,22 @@ def test_power_sequence_matches_repeated_matmul():
     expected = np.eye(u.shape[0], dtype=complex)
     for _ in range(5):
         expected = expected @ u
-    (sample,) = power_sequence(u, 5, 5)
+    (sample,) = power_sequence(u, range(5, 6, 5))
     np.testing.assert_allclose(sample.matrix, expected, atol=1e-12)
 
 
 def test_power_sequence_stride_and_bounds():
-    ns = [s.n for s in power_sequence(np.eye(2), 10, 3)]
+    ns = [s.n for s in power_sequence(np.eye(2), range(3, 11, 3))]
     assert ns == [3, 6, 9]
+    assert list(power_sequence(np.eye(2), range(4, 4))) == []
     with pytest.raises(ValueError):
-        list(power_sequence(np.eye(2), 0, 1))
+        list(power_sequence(np.eye(2), range(0, 1)))
 
 
 def test_power_sequence_powers_a_stack_side_by_side():
     a = floquet(KickedTopParams.symmetric(1, 2.0, 0.5))
     b = floquet(KickedTopParams(1, 1, 3.0, 1.0, 0.3))
-    samples = list(power_sequence(np.stack([a, b]), 6, 3))
+    samples = list(power_sequence(np.stack([a, b]), range(3, 7, 3)))
     assert [s.n for s in samples] == [3, 6]
     for s in samples:
         for u, power in zip((a, b), s.matrix):
@@ -173,9 +180,10 @@ def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
     (w1, _), (w2, _) = parity_basis(p.top1), parity_basis(p.top2)
     w = kron(w1, w2)
     kick = w.conj().T @ product_rotation(p.top1, p.top2, 0.7) @ w  # R maps it to exp(+i p Jz)
-    monkeypatch.setattr(cli, "parity_floquet", lambda params: (u @ kick, l1, l2))
-    with pytest.raises(ValueError, match="breaks the parity"):
-        next(cli.kicked_spectra(p, [1, 2]))
+    for bad in (u @ kick, np.full_like(u, np.nan)):
+        monkeypatch.setattr(kickedtop, "parity_floquet", lambda params: (bad, l1, l2))
+        with pytest.raises(ValueError, match="breaks the parity"):
+            next(kickedtop.kicked_spectra(p, range(1, 3)))
 
 
 def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
@@ -186,15 +194,18 @@ def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
         return unitarity_residual(u)
 
     monkeypatch.setattr(kickedtop, "unitarity_residual", counting)
-    got = [n for n, _ in cli.kicked_spectra(KickedTopParams(1, 1.5, 6.0, 3.0, 1.0), range(15, 28, 3))]
-    assert got == [15, 18, 21, 24, 27]
-    assert len(checked) == len(got)
+    p = KickedTopParams(1, 1.5, 6.0, 3.0, 1.0)
+    for ns in (range(15, 28, 3), range(5, 30, 4)):  # the second starts off its step
+        checked.clear()
+        got = [n for n, _ in kickedtop.kicked_spectra(p, ns)]
+        assert got == list(ns)
+        assert len(checked) == len(got)
 
 
 def test_power_sequence_drift_aborts():
     drifting = (1 + 1e-4) * np.eye(2)
     with pytest.raises(UnitarityDriftError, match="residual"):
-        list(power_sequence(drifting, 2, 1))
+        list(power_sequence(drifting, range(1, 3)))
 
 
 @given(
@@ -203,39 +214,39 @@ def test_power_sequence_drift_aborts():
     dim=st.integers(1, 6),
     stride=st.integers(1, 9),
     n_max=st.integers(1, 60),
-    first=st.integers(1, 4),
+    start=st.integers(1, 36),
 )
 @settings(max_examples=40, deadline=None)
-def test_power_sequence_strides_match_matrix_powers(seed, layers, dim, stride, n_max, first):
+def test_power_sequence_strides_match_matrix_powers(seed, layers, dim, stride, n_max, start):
     rng = np.random.default_rng(seed)
     u = np.stack([random_unitary(rng, dim) for _ in range(layers)])
-    start = first * stride
-    samples = list(power_sequence(u, n_max, stride, start))
-    assert [s.n for s in samples] == list(range(start, n_max + 1, stride))
+    ns = range(start, n_max + 1, stride)
+    samples = list(power_sequence(u, ns))
+    assert [s.n for s in samples] == list(ns)
     for s in samples:
         np.testing.assert_allclose(s.matrix, np.linalg.matrix_power(u, s.n), rtol=0, atol=1e-12)
         assert s.residual == unitarity_residual(s.matrix)
 
 
-@pytest.mark.parametrize("stride, start", [(3, 4), (2, 0), (2, -2)])
-def test_power_sequence_rejects_a_start_off_the_stride(stride, start):
-    with pytest.raises(ValueError, match="multiple of the stride"):
-        next(power_sequence(np.eye(2), 20, stride, start))
+@pytest.mark.parametrize("ns", [range(0, 20, 2), range(-2, 20, 2), range(20, 3, -2)])
+def test_power_sequence_rejects_a_start_or_step_below_one(ns):
+    with pytest.raises(ValueError, match="start and step of at least 1"):
+        next(power_sequence(np.eye(2), ns))
 
 
 def test_power_sequence_yields_read_only_powers():
     u = 1j * np.eye(2)
-    for s in power_sequence(u, 6, 2):
+    for s in power_sequence(u, range(2, 7, 2)):
         with pytest.raises(ValueError, match="read-only"):
             s.matrix[0, 0] = 0
     assert u.flags.writeable
 
 
 def test_power_sequence_drift_aborts_at_the_first_strided_sample():
-    drifting = (1 + 1e-4) * np.eye(2)
-    with pytest.raises(UnitarityDriftError, match="residual") as info:
-        list(power_sequence(drifting, 12, 4))
-    assert info.value.n == 4
+    for drifting in ((1 + 1e-4) * np.eye(2), np.full((2, 2), np.nan)):
+        with pytest.raises(UnitarityDriftError, match="residual") as info:
+            list(power_sequence(drifting, range(4, 13, 4)))
+        assert info.value.n == 4
 
 
 def test_diagonal_coupling_eigenvalues():

@@ -9,7 +9,7 @@ from opent import (
     KickedTopParams,
     SchmidtSpectrum,
     SpinSystem,
-    cli,
+    kickedtop,
     operator_entanglement,
     realign,
     reshape_vec,
@@ -245,7 +245,7 @@ def _mp_entropies(lt):
 def test_entropies_of_a_spectrum_match_a_40_digit_reference(spins):
     # weak coupling: lt_0 is about 1 - 1e-6, so 1 - sum lt^2 would cancel
     with mpmath.workdps(40):
-        for n, spec in cli.kicked_spectra(KickedTopParams(*spins, 6.0, 6.0, 1e-3), range(1, 11)):
+        for n, spec in kickedtop.kicked_spectra(KickedTopParams(*spins, 6.0, 6.0, 1e-3), range(1, 11)):
             tail = [mpmath.mpf(float(x)) for x in spec.normalized[1:]]
             s_vn, s_lin = _mp_entropies([1 - mpmath.fsum(tail), *tail])
             assert 0 < s_lin < 1e-3
@@ -281,7 +281,7 @@ def test_weak_coupling_entropies_match_a_40_digit_evolution(spins):
     with mpmath.workdps(40):
         u = _mp_floquet(*spins, 6.0, 1e-3)
         power = mpmath.eye(d.total)
-        for n, spec in cli.kicked_spectra(KickedTopParams(*spins, 6.0, 6.0, 1e-3), range(1, 11)):
+        for n, spec in kickedtop.kicked_spectra(KickedTopParams(*spins, 6.0, 6.0, 1e-3), range(1, 11)):
             power = power * u  # n runs 1, 2, 3, ...
             x = mpmath.matrix([[power[i // d.total, i % d.total] for i in row] for row in order])
             s_vn, s_lin = _mp_entropies([s**2 / d.total for s in mpmath.svd_c(x, compute_uv=False)])

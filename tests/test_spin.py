@@ -17,6 +17,9 @@ def test_spin_system_dims():
         SpinSystem(-1)
     with pytest.raises(ValueError):
         SpinSystem.from_j(0.3)
+    for j in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"spin j={j:g} must be finite and at least 1/2"):
+            SpinSystem.from_j(j)
 
 
 def test_jz_examples():
