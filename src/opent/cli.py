@@ -65,10 +65,10 @@ class SweepConfig:
             raise ValueError("need n_max >= sample_stride >= 1")
         if not self.k_values or not self.eps_values:
             raise ValueError("k and eps lists must be non-empty")
-        _reject_repeats(_sweep_name(k, eps) for k in self.k_values for eps in self.eps_values)
         for k in self.k_values:
             for eps in self.eps_values:
                 KickedTopParams(self.j1, self.j2, k, k, eps)
+        _reject_repeats(_sweep_name(k, eps) for k in self.k_values for eps in self.eps_values)
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,11 @@ class SpectrumConfig:
             raise ValueError("window stride must be positive")
         if self.bins < 5:
             raise ValueError("need at least 5 bins")
-        _reject_repeats(f"eigenvalues_j2_{j2:g}.txt" for j2 in self.j2_values)
+        if not self.j2_values:
+            raise ValueError("j2 list must be non-empty")
         for j2 in self.j2_values:
             KickedTopParams(self.j1, j2, self.k, self.k, self.eps)
+        _reject_repeats(f"eigenvalues_j2_{j2:g}.txt" for j2 in self.j2_values)
 
 
 def _fmt(x: float) -> str:

@@ -11,14 +11,18 @@ product rotation; `schmidt.schmidt_spectrum` accepts such a diagonal.
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
 and the precession about y unchanged. In the local Jy eigenbases
-(`spin.parity_basis`) R is diagonal, so U_T splits into two parity blocks;
-`parity_floquet` builds U_T there with no D x D product. `power_sequence`
-powers such blocks side by side over a range of exponents.
+(`spin.parity_basis`, a real orthogonal matrix times a diagonal phase) R
+is diagonal, so U_T splits into two parity blocks. `parity_floquet` builds
+U_T there with no D x D product, and splits each precession's column phase
+exp(-i pi m / 2) into exp(-i pi m / 4) on both sides, so the operator it
+returns is symmetric: the top's generalized time-reversal symmetry. That
+local-unitary conjugate has the Schmidt spectra of U_T in every power.
+`power_sequence` powers such blocks side by side over a range of exponents.
 
 `kicked_spectra`, the one stream of operator Schmidt spectra of U_T^n that
 the `sweep` and `spectrum` commands share, powers those blocks and takes
-each spectrum from them without forming a D x D power; local unitaries do
-not change the spectrum.
+each spectrum from the four realigned flip blocks of each power without
+forming a D x D power; local unitaries do not change the spectrum.
 """
 
 from __future__ import annotations
@@ -48,7 +52,12 @@ class UnitarityDriftError(RuntimeError):
 
 @dataclass(frozen=True)
 class KickedTopParams:
-    """Spins j1 <= j2 (each checked by `SpinSystem.from_j`), finite kicks and coupling."""
+    """Spins j1 <= j2 (each checked by `SpinSystem.from_j`), finite kicks and coupling.
+
+    Each of k1, k2 and epsilon must also keep its largest phase finite:
+    |k_i| j_i / 2 for the torsion (k_i / 2 j_i) m^2 at m = j_i, and
+    |eps| sqrt(j1 j2) for the coupling (eps / sqrt(j1 j2)) m1 m2.
+    """
 
     j1: float
     j2: float
@@ -61,9 +70,16 @@ class KickedTopParams:
         SpinSystem.from_j(self.j2)
         if self.j1 > self.j2:  # the Schmidt analysis takes dim1 <= dim2
             raise ValueError(f"j1 <= j2 required, got j1={self.j1:g}, j2={self.j2:g}")
-        for name in ("k1", "k2", "epsilon"):
+        largest = {  # name -> (largest phase per unit of it, that phase)
+            "k1": (self.j1 / 2, "torsion phase |k1| j1 / 2"),
+            "k2": (self.j2 / 2, "torsion phase |k2| j2 / 2"),
+            "epsilon": (math.sqrt(self.j1 * self.j2), "coupling phase |epsilon| sqrt(j1 j2)"),
+        }
+        for name, (per_unit, phase) in largest.items():
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value:g}")
+            if not math.isfinite(abs(value) * per_unit):
+                raise ValueError(f"{name}={value:g} overflows the largest {phase}")
 
     @classmethod
     def symmetric(cls, j: float, k: float, epsilon: float) -> "KickedTopParams":
@@ -133,18 +149,23 @@ def floquet(p: KickedTopParams) -> np.ndarray:
 
 
 def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W^dag U_T W in the parity basis W = w1 x w2, and the labels l1, l2.
+    """V = D^(1/2) (W^dag U_T W) D^(-1/2) in the parity basis W = w1 x w2, and the labels l1, l2.
 
     (w_i, l_i) = `spin.parity_basis(top i)`. There exp(-i (pi/2) Jy) is the
-    column phase exp(-i pi m / 2), so with v = w exp(-i pi m / 2) the entry
-    ((a, c), (b, d)) is sum_xy conj(w1[x,a]) v1[x,b] g[x,y] conj(w2[y,c]) v2[y,d]:
+    column phase D = exp(-i pi m / 2), so W^dag U_T W = (W^dag G W) D with
+    G = diag(g) (`kick_phases`), and V = D^(1/2) (W^dag G W) D^(1/2) splits
+    that phase into exp(-i pi m / 4) on both sides. W^dag G W = O^T G O for
+    the real O of `parity_basis`, so V is symmetric; it is a local-unitary
+    conjugate of W^dag U_T W, so every power has the same Schmidt spectrum.
+    With h = exp(-i pi m / 4) the entry ((a, c), (b, d)) is
+    sum_xy h1[a] conj(w1[x,a]) w1[x,b] h1[b] g[x,y] h2[c] conj(w2[y,c]) w2[y,d] h2[d]:
     one N x N x M contraction and one (N^2 x M)(M x M^2) product.
     """
     s1, s2 = p.top1, p.top2
     (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
-    def pairs(s, w):  # conj(w[x, a]) v[x, b] as an (x, (a, b)) matrix
-        v = w * np.exp(-0.5j * math.pi * s.m_values())
-        return (w.conj()[:, :, None] * v[:, None, :]).reshape(s.dim, s.dim**2)
+    def pairs(s, w):  # h[a] conj(w[x, a]) w[x, b] h[b] as an (x, (a, b)) matrix
+        h = np.exp(-0.25j * math.pi * s.m_values())
+        return ((w.conj() * h)[:, :, None] * (w * h)[:, None, :]).reshape(s.dim, s.dim**2)
     x = (pairs(s1, w1).T @ kick_phases(p)) @ pairs(s2, w2)  # rows (a, b), columns (c, d)
     n, m = s1.dim, s2.dim
     return x.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m), l1, l2
@@ -184,16 +205,25 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
         yield PowerSample(n, power, res)
 
 
+def _check_symmetric(u: np.ndarray, where: str) -> None:
+    """Fail unless max |u - u^T| over a matrix or a stack is at most DRIFT_TOL (nan fails)."""
+    defect = float(np.abs(u - np.swapaxes(u, -1, -2)).max())
+    if not defect <= DRIFT_TOL:
+        raise RuntimeError(f"transpose defect {defect:.3e} exceeds {DRIFT_TOL:g} at {where}")
+
+
 def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, SchmidtSpectrum]]:
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in the range `ns`.
 
-    U_T is built in the local parity basis W1 x W2 (`parity_floquet`), where
-    `parity_stack` cuts its two parity blocks into a padded stack; its
-    entries off them must be at most DRIFT_TOL. `power_sequence` powers the
-    stack over `ns`, one product and one unitarity check per sample. The two
-    realigned parity blocks of each power are gathered straight from the
-    powered stack through an index map built once (`parity_gather`), so no
-    D x D power is formed. Each spectrum must meet the sum rule.
+    U_T is built as the symmetric V of `parity_floquet`, a local-unitary
+    conjugate in the parity basis W1 x W2, where `parity_stack` cuts its two
+    parity blocks into a padded stack; its entries off them must be at most
+    DRIFT_TOL, and so must max |V - V^T|. `power_sequence` powers the stack
+    over `ns`, one product and one unitarity check per sample, and each
+    power must stay symmetric to DRIFT_TOL. The four realigned flip blocks
+    of each power are gathered straight from the powered stack through an
+    index map built once (`parity_gather`), so no D x D power is formed.
+    Each spectrum must meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     u, l1, l2 = parity_floquet(params)
@@ -201,9 +231,11 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     if not off <= DRIFT_TOL:
         raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
                          f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
+    _check_symmetric(u, "U_T in the parity basis")
     del u  # the stream needs only the stack; this keeps peak memory down
     gather = parity_gather(l1, l2)
     for sample in power_sequence(stack, ns):
+        _check_symmetric(sample.matrix, f"power n={sample.n}")
         spec = schmidt_spectrum(sample.matrix, dims, gather)
         spec.check_sum_rule(f"power n={sample.n}")
         yield sample.n, spec

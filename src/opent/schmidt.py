@@ -13,12 +13,16 @@ eigenbasis) has a realigned matrix that is block diagonal: row (a, b) and
 column (c, d') meet only where l1[a] l1[b] = l2[c] l2[d']. Each entry
 u[(a,c), (b,d')] of those two blocks lies inside one parity block of u
 itself, so the realigned blocks are a fixed index map of u's two parity
-blocks. `parity_stack` cuts those blocks into a padded (2, h, h) stack and
-`parity_gather` builds the map once; `schmidt_spectrum` then takes each
-realigned block from the stack with one `np.take` and its singular values,
-about a quarter of the work of one SVD, and never forms or realigns the
-full operator. Local unitaries leave the spectrum unchanged, so an
-operator may be moved into such a basis first.
+blocks. If u is also symmetric, u = u^T, then X[(a,b),(c,d')] =
+X[(b,a),(d',c)], and each realigned parity block splits once more into a
+flip-even block (pairs a <= b, c <= d') and a flip-odd block (a < b,
+c < d'), each half its size. `parity_stack` cuts u's blocks into a padded
+(2, h, h) stack and `parity_gather` builds the maps of the four flip blocks
+once; `schmidt_spectrum` then takes each flip block from the stack with one
+`np.take` of two indices per entry and its singular values, about a
+sixteenth of the work of one SVD, and never forms or realigns the full
+operator. Local unitaries leave the spectrum unchanged, so an operator may
+be moved into such a basis first.
 
 A diagonal operator U = diag(phi) may be passed as the vector phi of its
 n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
@@ -30,6 +34,7 @@ by n^2 - n exact zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,27 +134,50 @@ def parity_stack(u, l1, l2) -> tuple[np.ndarray, float]:
     return stack, float(np.abs(u[r[:, None] != r]).max())
 
 
-def parity_gather(l1, l2) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the two realigned parity blocks in a `parity_stack`.
+class FlipBlock(NamedTuple):
+    """One realigned block, scale * (np.take(stack, idx[0]) + sign * np.take(stack, idx[1]))."""
 
-    Row (a, b) and column (c, d') of the realigned matrix meet in the first
-    block where l1[a] l1[b] = l2[c] l2[d'] = 1 and in the second where both
-    are -1. Their entry u[(a,c), (b,d')] then has row and column on the
-    same side of r, so it lies in one layer of the stack, and
-    `np.take(stack, idx)` gives each block in `realign`'s order. The
-    stack's padding is never read.
+    idx: np.ndarray  # (2, rows, columns) flat stack indices of x[ab, cd] and x[ab, dc]
+    sign: float  # +1 flip-even, -1 flip-odd
+    scale: np.ndarray | float  # rho_ab rho_cd for flip-even, 1 for flip-odd
+
+
+def parity_gather(l1, l2) -> tuple[FlipBlock, ...]:
+    """The four realigned blocks of a symmetric operator's `parity_stack`.
+
+    Row (a, b) and column (c, d') of the realigned matrix x meet in the
+    first parity block where l1[a] l1[b] = l2[c] l2[d'] = 1 and in the
+    second where both are -1. Their entry u[(a,c), (b,d')] then has row and
+    column on the same side of r, so it lies in one layer of the stack. If
+    u = u^T, then x[ab, cd] = x[ba, dc], so swapping both pairs is a
+    symmetry of x that keeps each parity block, and each splits into a
+    flip-even block on the orthonormal vectors rho_ab (e_ab + e_ba) (a <= b,
+    rho = 1/sqrt(2) where a = b, else 1), with entries
+    (x[ab, cd] + x[ab, dc]) rho_ab rho_cd, and a flip-odd block on
+    (e_ab - e_ba) / sqrt(2) (a < b), with entries x[ab, cd] - x[ab, dc].
+    The stack's padding is never read.
     """
     n, m = len(l1), len(l2)
     r, h = _parity_layout(l1, l2)
     layer = np.where(r, 0, h * h)
     place = np.where(r, np.cumsum(r), np.cumsum(~r)) - 1  # row or column within the layer
-    rows, cols = np.outer(l1, l1).ravel() > 0, np.outer(l2, l2).ravel() > 0
+
+    def flat(a, b, c, d):  # stack index of u[(a, c), (b, d)] over rows (a, b), columns (c, d)
+        p, q = a[:, None] * m + c, b[:, None] * m + d
+        return layer[p] + place[p] * h + place[q]
+
+    def pairs(labels, parity, strict):  # (a, b), a <= b (a < b if strict), l[a] l[b] = parity
+        a, b = np.triu_indices(len(labels), k=int(strict))
+        keep = labels[a] * labels[b] == parity
+        return a[keep], b[keep]
+
     blocks = []
-    for block_rows, block_cols in ((rows, cols), (~rows, ~cols)):
-        a, b = np.divmod(np.flatnonzero(block_rows), n)
-        c, d = np.divmod(np.flatnonzero(block_cols), m)
-        p, q = a[:, None] * m + c, b[:, None] * m + d  # u's row (a, c) and column (b, d')
-        blocks.append(layer[p] + place[p] * h + place[q])
+    for parity in (1, -1):
+        for sign in (1.0, -1.0):
+            (a, b), (c, d) = pairs(l1, parity, sign < 0), pairs(l2, parity, sign < 0)
+            scale = np.outer(np.where(a == b, np.sqrt(0.5), 1), np.where(c == d, np.sqrt(0.5), 1))
+            blocks.append(FlipBlock(np.stack([flat(a, b, c, d), flat(a, b, d, c)]), sign,
+                                    scale if sign > 0 else 1.0))
     return tuple(blocks)
 
 
@@ -157,12 +185,13 @@ def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
     """Squared singular values of the realigned operator, descending.
 
     `u` is a matrix; the 1-d vector of the diagonal of a diagonal operator,
-    which takes one SVD of its n x m reshape; or the `parity_stack` of an
-    operator that commutes with diag(l1) x diag(l2), with
-    `gather = parity_gather(l1, l2)`, which takes the SVDs of the two
-    realigned blocks. Only a stack reads `gather`. A stack holds nothing off
-    the parity blocks, so checking the symmetry is left to the caller
-    (`parity_stack` returns the off-block residual).
+    which takes one SVD of its n x m reshape; or the `parity_stack` of a
+    symmetric operator that commutes with diag(l1) x diag(l2), with
+    `gather = parity_gather(l1, l2)`, which takes the SVDs of the four
+    realigned flip blocks. Only a stack reads `gather`. A stack holds
+    nothing off the parity blocks and only the flip-symmetric part of the
+    realigned blocks is read, so checking both symmetries is left to the
+    caller (`parity_stack` returns the off-block residual).
     """
     if np.ndim(u) == 1:
         if len(u) != d.total:
@@ -171,12 +200,18 @@ def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
         sigma = np.concatenate([sigma, np.zeros(d.n * d.n - d.n)])
         return SchmidtSpectrum(lambdas=sigma**2, dims=d)
     if np.ndim(u) == 3:
-        if gather is None or sum(len(idx) for idx in gather) != d.n * d.n:
+        if gather is None or sum(block.idx.shape[1] for block in gather) != d.n * d.n:
             raise ValueError(f"a stack of parity blocks needs the gather of its {d.n} x {d.m} labels")
-        sigma = np.sort(np.concatenate([singular_values(np.take(u, idx)) for idx in gather]))[::-1]
+        sigma = np.sort(np.concatenate([singular_values(flip_block(u, block)) for block in gather]))[::-1]
     else:
         sigma = singular_values(realign(u, d))
     return SchmidtSpectrum(lambdas=sigma[: d.n * d.n] ** 2, dims=d)
+
+
+def flip_block(stack: np.ndarray, block: FlipBlock) -> np.ndarray:
+    """One realigned flip block of a `parity_stack`, gathered as `block` (from `parity_gather`) says."""
+    x, flipped = np.take(stack, block.idx)
+    return block.scale * (x + block.sign * flipped)
 
 
 def svn(spec: SchmidtSpectrum) -> float:

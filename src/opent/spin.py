@@ -3,7 +3,8 @@
 Basis ordering is m = -j, -j+1, ..., +j ascending, so the array index of
 |j, m> is m + j. Half-integer spins are represented exactly by storing 2j.
 `parity_basis` gives the Jy eigenbasis, in which the pi rotation about y
-is diagonal.
+is diagonal, with phases chosen so that it is a diagonal phase times a real
+orthogonal matrix.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import eigh
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,15 @@ def parity_basis(s: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     """Eigenbasis w of Jy, m ascending, and the parity label of each column.
 
     Column i has Jy = m = i - j, so exp(-i pi Jy) = e^{-i pi j} w diag(labels) w^dag
-    with labels (-1)^(j-m) = (-1)^(2j-i).
+    with labels (-1)^(j-m) = (-1)^(2j-i). Jy = phi (-Jx) phi^dag with
+    phi = diag(e^{i pi m / 2}) over the Jz values m, and -Jx is real
+    symmetric, so w = phi o with o its real orthogonal eigenvectors. Then
+    w w^T = phi^2 is diagonal, and w^dag g w = o^T g o is symmetric for any
+    diagonal g.
     """
-    _, w = eigh(jy(s))
-    return w, (-1.0) ** np.arange(s.two_j, -1, -1)
+    _, o = np.linalg.eigh(-jx(s).real)
+    phi = np.exp(0.5j * math.pi * s.m_values())
+    return phi[:, None] * o, (-1.0) ** np.arange(s.two_j, -1, -1)
 
 
 def basis_state(s: SpinSystem, m: float) -> np.ndarray:

@@ -16,6 +16,15 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_parity_unitary(rng: np.random.Generator, l1, l2) -> np.ndarray:
+    """Random unitary, block diagonal over the product parity diag(l1) x diag(l2) of +-1 labels."""
+    r = np.outer(l1, l2).ravel() > 0
+    u = np.zeros((r.size, r.size), dtype=np.complex128)
+    for mask in (r, ~r):
+        u[np.ix_(mask, mask)] = random_unitary(rng, np.count_nonzero(mask))
+    return u
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = random_complex(rng, dim, dim)
     return (a + a.conj().T) / 2

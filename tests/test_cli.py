@@ -192,11 +192,33 @@ def test_cli_unknown_config_key_fails_before_any_output(tmp_path):
     ["sweep", "--j1", "1", "--j2", "1", "--k", "nan", "--eps", "1", "--nmax", "2", "--stride", "1"],
     ["spectrum", "--j1", "1", "--j2", "1", "--k", "inf", "--window", "2,4,2", "--bins", "5"],
     ["spectrum", "--j1", "1", "--j2", "1", "--eps", "nan", "--window", "2,4,2", "--bins", "5"],
+    ["sweep", "--j1", "10", "--j2", "10", "--k", "1e308", "--eps", "1", "--nmax", "2", "--stride", "1"],
+    ["spectrum", "--j1", "10", "--j2", "20", "--eps", "1e308", "--window", "2,4,2", "--bins", "5"],
 ])
 def test_cli_bad_spin_or_window_fails_before_any_work(tmp_path, args):
     res = run_cli([*args, "--out", str(tmp_path / "out")])
     assert res.returncode == 1
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ValueError:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--k", "nan,nan", "--nmax", "2", "--stride", "1"], "k1 must be finite, got nan"),
+    (["sweep", "--k", "1e308,1e308", "--nmax", "2", "--stride", "1"],
+     "k1=1e+308 overflows the largest torsion phase |k1| j1 / 2"),
+    (["spectrum", "--j1", "inf", "--j2", "1,1"], "spin j=inf must be finite and at least 1/2"),
+])
+def test_cli_names_a_bad_grid_point_before_a_name_collision(tmp_path, args, message):
+    res = run_cli([*args, "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    assert res.stderr == f"error: ValueError: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_config_rejects_an_empty_j2_list_before_any_output(tmp_path):
+    for j1 in (float("nan"), 1.0):
+        with pytest.raises(ValueError, match="j2 list must be non-empty"):
+            cli.SpectrumConfig(j1=j1, j2_values=(), output_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -299,7 +321,7 @@ def test_sweep_config_rejects_colliding_names(k_values, eps_values):
 
 def test_spectrum_config_rejects_colliding_names():
     with pytest.raises(ValueError, match="eigenvalues_j2_10.txt"):
-        cli.SpectrumConfig(j2_values=(10.0, 15.0, 10.0000001))
+        cli.SpectrumConfig(j2_values=(10.0, 15.0, 10.0))
 
 
 def test_cli_colliding_sweep_names_exit_before_writing(tmp_path):

@@ -23,7 +23,7 @@ from opent.kickedtop import parity_floquet
 from opent.linalg import expi_hermitian, hs_inner, kron, unitarity_residual
 from opent.spin import jy, parity_basis
 from opent.states import product_basis_state
-from conftest import random_unitary
+from conftest import random_parity_unitary, random_unitary
 
 HALF = SpinSystem(1)
 J10 = SpinSystem.from_j(10)
@@ -45,6 +45,13 @@ def test_params_validation():
             KickedTopParams(j, j, 1, 1, 0.1)
     with pytest.raises(ValueError, match="epsilon must be finite, got inf"):
         KickedTopParams(1, 1, 1, 1, float("inf"))
+    with pytest.raises(ValueError, match=r"k1=1e\+308 overflows the largest torsion phase"):
+        KickedTopParams(10, 10, 1e308, 1, 0.1)
+    with pytest.raises(ValueError, match=r"k2=-1e\+308 overflows the largest torsion phase"):
+        KickedTopParams(10, 10, 1, -1e308, 0.1)
+    with pytest.raises(ValueError, match=r"epsilon=1e\+308 overflows the largest coupling phase"):
+        KickedTopParams(10, 20, 1, 1, 1e308)
+    KickedTopParams(0.5, 0.5, 1e308, 1e308, 1e308)  # each largest phase is 1e308 / 2
     p = KickedTopParams.symmetric(10, 6.0, 1.0)
     assert p.top1.dim == p.top2.dim == 21
 
@@ -112,8 +119,11 @@ def test_floquet_builds_match_the_dense_factor_products(j1, j2, eps):
     np.testing.assert_allclose(u, coupling(s1, s2, eps) @ kron(u1, u2), rtol=0, atol=1e-14)
     (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
     w = kron(w1, w2)
+    half = np.kron(np.exp(-0.25j * np.pi * s1.m_values()), np.exp(-0.25j * np.pi * s2.m_values()))
     local, got_l1, got_l2 = parity_floquet(p)
-    np.testing.assert_allclose(local, w.conj().T @ u @ w, rtol=0, atol=1e-13)
+    expected = half[:, None] * (w.conj().T @ u @ w) / half  # D^(1/2) W^dag U_T W D^(-1/2)
+    np.testing.assert_allclose(local, expected, rtol=0, atol=1e-13)
+    assert np.abs(local - local.T).max() <= 1e-14
     np.testing.assert_array_equal(got_l1, l1)
     np.testing.assert_array_equal(got_l2, l2)
 
@@ -184,6 +194,30 @@ def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
         monkeypatch.setattr(kickedtop, "parity_floquet", lambda params: (bad, l1, l2))
         with pytest.raises(ValueError, match="breaks the parity"):
             next(kickedtop.kicked_spectra(p, range(1, 3)))
+
+
+def test_kicked_spectra_reject_an_operator_that_is_not_symmetric(monkeypatch):
+    p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
+    u, l1, l2 = parity_floquet(p)
+    bad = u @ random_parity_unitary(np.random.default_rng(5), l1, l2)  # keeps the parity, not u = u^T
+    assert unitarity_residual(bad) < 1e-13
+    monkeypatch.setattr(kickedtop, "parity_floquet", lambda params: (bad, l1, l2))
+    with pytest.raises(RuntimeError, match="transpose defect .* at U_T in the parity basis"):
+        next(kickedtop.kicked_spectra(p, range(1, 3)))
+
+
+def test_kicked_spectra_check_every_power_is_symmetric(monkeypatch):
+    real = kickedtop.power_sequence
+    p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
+
+    def skewed(stack, ns):  # the power at n = 7 loses its symmetry, not its unitarity
+        for s in real(stack, ns):
+            kick = random_unitary(np.random.default_rng(6), stack.shape[-1])
+            yield s._replace(matrix=s.matrix @ kick) if s.n == 7 else s
+
+    monkeypatch.setattr(kickedtop, "power_sequence", skewed)
+    with pytest.raises(RuntimeError, match="transpose defect .* at power n=7"):
+        list(kickedtop.kicked_spectra(p, range(3, 12, 2)))
 
 
 def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):

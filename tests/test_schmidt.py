@@ -18,10 +18,10 @@ from opent import (
     svn,
 )
 from opent.kickedtop import product_rotation
-from opent.linalg import expi_hermitian, hs_inner, kron
-from opent.schmidt import parity_gather, parity_stack
-from opent.spin import jy, parity_basis
-from conftest import CNOT, random_complex, random_unitary, swap_operator
+from opent.linalg import hs_inner, kron
+from opent.schmidt import flip_block, parity_gather, parity_stack
+from opent.spin import parity_basis
+from conftest import CNOT, random_complex, random_parity_unitary, random_unitary, swap_operator
 
 D22 = BipartitionDims(2, 2)
 
@@ -180,16 +180,17 @@ def test_entropy_bounds(rng):
 SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
-def _parity_symmetric(spins, seed):
-    """A random unitary's parity-symmetric part u, its dims, and the pair (W^dag u W, labels)."""
+def _symmetric_parity_unitary(spins, seed):
+    """b b^T for a random unitary b, block diagonal over the parity labels; its dims and labels.
+
+    b b^T is unitary, symmetric and commutes with diag(l1) x diag(l2), as the
+    kicked-top operator of `kickedtop.parity_floquet` is.
+    """
     s1, s2 = (SpinSystem.from_j(j) for j in spins)
     d = BipartitionDims(s1.dim, s2.dim)
-    r = kron(expi_hermitian(jy(s1), np.pi), expi_hermitian(jy(s2), np.pi))
-    u = random_unitary(np.random.default_rng(seed), d.total)
-    u = (u + r @ u @ r.conj().T) / 2  # commutes with the parity r
-    (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
-    w = kron(w1, w2)
-    return u, d, w.conj().T @ u @ w, (l1, l2)
+    (_, l1), (_, l2) = parity_basis(s1), parity_basis(s2)
+    b = random_parity_unitary(np.random.default_rng(seed), l1, l2)
+    return b @ b.T, d, (l1, l2)
 
 
 @given(
@@ -198,8 +199,8 @@ def _parity_symmetric(spins, seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_parity_blocks_give_the_full_spectrum(spins, seed):
-    u, d, local, labels = _parity_symmetric(spins, seed)
-    stack, off = parity_stack(local, *labels)
+    u, d, labels = _symmetric_parity_unitary(spins, seed)
+    stack, off = parity_stack(u, *labels)
     assert off < 1e-12
     got = schmidt_spectrum(stack, d, parity_gather(*labels))
     assert got.lambdas.size == d.n**2
@@ -207,25 +208,44 @@ def test_parity_blocks_give_the_full_spectrum(spins, seed):
     np.testing.assert_allclose(got.lambdas, schmidt_spectrum(u, d).lambdas, atol=1e-12)
 
 
+def _flip_basis(labels, parity, sign):
+    """Orthonormal columns over pairs (a, b): e_ab + sign e_ba, normalized, for a <= b
+    (a < b when sign = -1) and labels[a] labels[b] = parity, in `parity_gather`'s order."""
+    n = len(labels)
+    columns = []
+    for a in range(n):
+        for b in range(a + (sign < 0), n):
+            if labels[a] * labels[b] == parity:
+                col = np.zeros(n * n)
+                col[a * n + b] += 1
+                col[b * n + a] += sign
+                columns.append(col / np.linalg.norm(col))
+    return np.array(columns).reshape(-1, n * n).T
+
+
 @pytest.mark.parametrize("spins", [(a, b) for a in SPINS for b in SPINS if a <= b])
 def test_parity_gather_equals_realigning_the_scattered_blocks(spins):
-    _, d, local, (l1, l2) = _parity_symmetric(spins, 7)
-    stack, _ = parity_stack(local, l1, l2)
+    u, d, (l1, l2) = _symmetric_parity_unitary(spins, 7)
+    stack, _ = parity_stack(u, l1, l2)
     r = np.outer(l1, l2).ravel() > 0
-    scattered = np.zeros_like(local)
+    scattered = np.zeros_like(u)
     for layer, mask in zip(stack, (r, ~r)):
         size = np.count_nonzero(mask)
         scattered[np.ix_(mask, mask)] = layer[:size, :size]
     x = realign(scattered, d)
-    rows, cols = np.outer(l1, l1).ravel() > 0, np.outer(l2, l2).ravel() > 0
-    even, odd = parity_gather(l1, l2)
-    np.testing.assert_array_equal(np.take(stack, even), x[np.ix_(rows, cols)])
-    np.testing.assert_array_equal(np.take(stack, odd), x[np.ix_(~rows, ~cols)])
+    gather = parity_gather(l1, l2)
+    kinds = [(parity, sign) for parity in (1, -1) for sign in (1, -1)]
+    assert [block.sign for block in gather] == [sign for _, sign in kinds]
+    rows = np.hstack([_flip_basis(l1, *kind) for kind in kinds])
+    np.testing.assert_allclose(rows.T @ rows, np.eye(d.n**2), rtol=0, atol=1e-15)
+    for block, kind in zip(gather, kinds):
+        q1, q2 = _flip_basis(l1, *kind), _flip_basis(l2, *kind)
+        np.testing.assert_allclose(flip_block(stack, block), q1.T @ x @ q2, rtol=0, atol=1e-15)
 
 
 def test_a_stack_without_its_gather_raises():
-    _, d, local, labels = _parity_symmetric((1.0, 1.5), 3)
-    stack, _ = parity_stack(local, *labels)
+    u, d, labels = _symmetric_parity_unitary((1.0, 1.5), 3)
+    stack, _ = parity_stack(u, *labels)
     with pytest.raises(ValueError, match="gather"):
         schmidt_spectrum(stack, d)
     with pytest.raises(ValueError, match="gather"):

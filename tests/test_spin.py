@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opent import SpinSystem, basis_state, jx, jy, jz
 from opent.linalg import eigh, expi_hermitian
@@ -102,3 +104,19 @@ def test_parity_basis_diagonalizes_the_pi_rotation_about_y(j):
     np.testing.assert_allclose(w.conj().T @ w, np.eye(s.dim), atol=1e-13)
     rotated = w.conj().T @ expi_hermitian(jy(s), np.pi) @ w
     np.testing.assert_allclose(rotated, np.exp(-1j * np.pi * s.j) * np.diag(labels), atol=1e-13)
+
+
+@given(two_j=st.integers(1, 20))
+@settings(max_examples=20, deadline=None)
+def test_parity_basis_is_a_real_phase_jy_eigenbasis(two_j):
+    s = SpinSystem(two_j)
+    w, labels = parity_basis(s)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(s.dim), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(jy(s) @ w, w * s.m_values(), rtol=0, atol=1e-13)
+    # w w^T is diagonal, so w^dag diag(g) w = o^T diag(g) o is symmetric for any diagonal g
+    wwt = w @ w.T
+    np.testing.assert_allclose(wwt - np.diag(np.diag(wwt)), 0, rtol=0, atol=1e-14)
+    g = np.exp(1j * np.arange(s.dim) ** 2)
+    local = w.conj().T @ (g[:, None] * w)
+    np.testing.assert_allclose(local, local.T, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(labels, (-1.0) ** (s.j - s.m_values()))
