@@ -16,7 +16,8 @@ OPENT_WORKERS are checked, before any output is written.
 Parameters come from an optional `key=value` config file (# comments
 allowed; a key that is not one of the subcommand's flags is an error) with
 command-line flags taking precedence. Independent grid points run on a
-process pool of OPENT_WORKERS processes, capped by the point and CPU counts;
+process pool of OPENT_WORKERS processes, capped by the point count and the
+CPUs the process may run on;
 outputs are written atomically and are byte-identical for any worker count.
 """
 
@@ -106,8 +107,12 @@ def _fmt(x: float) -> str:
 
 
 def _worker_count(tasks: int) -> int:
-    """Pool size: OPENT_WORKERS (default: cpu count), capped by tasks and cpu count."""
-    cpus = os.cpu_count() or 1
+    """Pool size: OPENT_WORKERS (default: usable CPUs), capped by tasks and usable CPUs.
+
+    The usable CPUs are the process's affinity set where the OS reports one
+    (under `taskset -c 0` that is 1, whatever `os.cpu_count()` says).
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("OPENT_WORKERS")
     try:
         requested = int(env) if env else cpus
@@ -227,17 +232,20 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
                  output_path: Path = Path("out/diagonal.csv")) -> Path:
     """CSV of operator entanglement of exp(-i alpha Jz x Jz) at each alpha.
 
-    The spins may come in either order; the smaller one is top 1. Each
+    The spins may come in either order; the smaller one is top 1. Each alpha
+    must keep the largest phase |alpha| j1 j2 of alpha m1 m2 finite. Each
     spectrum, and that of the product rotation in the closing comment, must
     meet the sum rule.
     """
     alphas = list(alpha_values)
     if not alphas:
         raise ValueError("alpha list must be non-empty")
+    s1, s2 = sorted((SpinSystem.from_j(j1), SpinSystem.from_j(j2)), key=lambda s: s.dim)
     for alpha in alphas:
         if not math.isfinite(alpha):
             raise ValueError(f"alpha must be finite, got {alpha:g}")
-    s1, s2 = sorted((SpinSystem.from_j(j1), SpinSystem.from_j(j2)), key=lambda s: s.dim)
+        if not math.isfinite(abs(alpha) * s1.j * s2.j):
+            raise ValueError(f"alpha={alpha:g} overflows the largest coupling phase |alpha| j1 j2")
     if 0.0 not in alphas:
         alphas = [0.0] + alphas
     dims = BipartitionDims(s1.dim, s2.dim)

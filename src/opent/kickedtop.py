@@ -18,6 +18,10 @@ exp(-i pi m / 2) into exp(-i pi m / 4) on both sides, so the operator it
 returns is symmetric: the top's generalized time-reversal symmetry. That
 local-unitary conjugate has the Schmidt spectra of U_T in every power.
 `power_sequence` powers such blocks side by side over a range of exponents.
+It measures unitarity with a Gram product only at the step, the first and
+the last power, and wherever a worst-case rounding bound carried from one
+product to the next would pass DRIFT_TOL; every other power is certified by
+that bound.
 
 `kicked_spectra`, the one stream of operator Schmidt spectra of U_T^n that
 the `sweep` and `spectrum` commands share, powers those blocks and takes
@@ -39,6 +43,8 @@ from .spin import SpinSystem, jy, parity_basis
 
 # Abort threshold for unitarity drift of the powers.
 DRIFT_TOL = 1e-8
+# Unit roundoff of IEEE double precision, for the rounding bound of `power_sequence`.
+UNIT_ROUNDOFF = 2.0**-53
 
 
 class UnitarityDriftError(RuntimeError):
@@ -174,35 +180,69 @@ def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
 class PowerSample(NamedTuple):
     n: int
     matrix: np.ndarray
-    residual: float
+    residual: float  # a certified upper bound on max |matrix^dag matrix - I|
 
 
 def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
-    """Yield (n, u^n, unitarity residual) for each n in the range `ns`.
+    """Yield (n, u^n, certified unitarity residual) for each n in the range `ns`.
 
-    `u` is a matrix or a stack (..., d, d) of matrices powered side by side.
-    The first power and the step u^(ns.step) are formed by repeated squaring,
-    the first as a power of the step when the step divides the start; then
-    each sample takes one product by the step. The residual is checked at
-    every sample and a UnitarityDriftError aborts the stream unless it is at
-    most DRIFT_TOL. The yielded matrix is a read-only view of the stream's
-    running power. An empty range yields nothing.
+    `u` is a matrix or a stack (..., h, h) of matrices powered side by side.
+    The first power and the step S = u^(ns.step) are formed by repeated
+    squaring, the first as a power of the step when the step divides the
+    start; then each sample takes one product by the step.
+
+    Unitarity is measured by a Gram product (`unitarity_residual`) only
+    where a rounding bound cannot vouch for it. Write E(A) = A^dag A - I,
+    and let f and e bound ||E(S)||_F and ||E(A)||_F for the running power A.
+    The computed product fl(A S) = A S + Delta has |Delta| <= g |A| |S| with
+    g = sqrt(2) gamma_(h+2), gamma_m = m u / (1 - m u) and u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.5-3.6), so ||Delta||_F <= g h sqrt((1 + e)(1 + f)), and since
+    ||S||_2^2 <= 1 + f and ||A S||_2^2 <= (1 + e)(1 + f),
+
+        ||E(fl(A S))||_F <= (1 + f) e + f + (2 g h + g^2 h^2)(1 + e)(1 + f).
+
+    A measured max-norm r of the computed Gram residual gives
+    max |E| <= (r + g) / (1 - g), the Gram's own rounding included, and
+    ||E||_F <= h max |E|. The step is measured once, when a product by it
+    follows; a power is measured when its bound is not at most DRIFT_TOL
+    (so a nan bound forces a measurement), at the first power unless that
+    is S, and always at the last. A measured power whose max-norm bound
+    exceeds DRIFT_TOL raises UnitarityDriftError. The yielded residual is
+    that max-norm bound at a measured power and the carried bound e
+    otherwise, so it is at least max |E| and at most DRIFT_TOL. The yielded
+    matrix is a read-only view of the stream's running power. An empty
+    range yields nothing.
     """
     if ns.start < 1 or ns.step < 1:
         raise ValueError(f"need a start and step of at least 1, got {ns}")
     u = np.asarray(u, dtype=np.complex128)
+    h = u.shape[-1]
+    g = math.sqrt(2) * (h + 2) * UNIT_ROUNDOFF / (1 - (h + 2) * UNIT_ROUNDOFF)
+    rounding = 2 * g * h + (g * h) ** 2
+
+    def measured(a: np.ndarray) -> float:  # a bound on max |E(a)| from the computed Gram
+        return (unitarity_residual(a) + g) / (1 - g)
+
     step = np.linalg.matrix_power(u, ns.step)
     first, rest = divmod(ns.start, ns.step)
     acc = np.linalg.matrix_power(step, first) if rest == 0 else np.linalg.matrix_power(u, ns.start)
+    step_residual = measured(step) if len(ns) > 1 else math.nan
+    f = h * step_residual
+    residual = step_residual if ns.start == ns.step else math.nan  # the first power is S itself
+    bound = h * residual
     for n in ns:
         if n > ns.start:
             acc = acc @ step
-        res = unitarity_residual(acc)
-        if not res <= DRIFT_TOL:
-            raise UnitarityDriftError(n, res)
+            bound = residual = (1 + f) * bound + f + rounding * (1 + bound) * (1 + f)
+        if not residual <= DRIFT_TOL or n == ns[-1]:
+            residual = measured(acc)
+            if not residual <= DRIFT_TOL:
+                raise UnitarityDriftError(n, residual)
+            bound = h * residual
         power = acc.view()  # acc may be u itself, which stays the caller's to write
         power.flags.writeable = False
-        yield PowerSample(n, power, res)
+        yield PowerSample(n, power, residual)
 
 
 def _check_symmetric(u: np.ndarray, where: str) -> None:
@@ -219,11 +259,12 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     conjugate in the parity basis W1 x W2, where `parity_stack` cuts its two
     parity blocks into a padded stack; its entries off them must be at most
     DRIFT_TOL, and so must max |V - V^T|. `power_sequence` powers the stack
-    over `ns`, one product and one unitarity check per sample, and each
-    power must stay symmetric to DRIFT_TOL. The four realigned flip blocks
-    of each power are gathered straight from the powered stack through an
-    index map built once (`parity_gather`), so no D x D power is formed.
-    Each spectrum must meet the sum rule.
+    over `ns`, one product per sample, and certifies its unitarity (a Gram
+    product at the step, the first and the last power, a rounding bound in
+    between); each power must stay symmetric to DRIFT_TOL. The four
+    realigned flip blocks of each power are gathered straight from the
+    powered stack through an index map built once (`parity_gather`), so no
+    D x D power is formed. Each spectrum must meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     u, l1, l2 = parity_floquet(params)

@@ -72,7 +72,9 @@ def expi_hermitian(h, theta: float) -> np.ndarray:
 def unitarity_residual(u) -> float:
     """Max-norm of u^dag u - I over a matrix or a stack (..., n, n) of them.
 
-    A drift monitor for repeated products; 1 is taken off the Gram diagonal in place.
+    A drift monitor for repeated products, one Gram product per call;
+    `kickedtop.power_sequence` calls it only where its rounding bound cannot
+    certify a power. 1 is taken off the Gram diagonal in place.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:

@@ -256,6 +256,15 @@ def test_cli_diagonal_rejects_non_finite_alpha(tmp_path, alpha, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_diagonal_rejects_an_alpha_that_overflows_its_phase(tmp_path):
+    res = run_cli(["diagonal", "--j1", "10", "--j2", "10", "--alpha", "1e308", "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    assert res.stderr == ("error: ValueError: alpha=1e+308 overflows the largest coupling phase "
+                          "|alpha| j1 j2\n")
+    assert not (tmp_path / "out").exists()
+    cli.run_diagonal(0.5, 0.5, [1e308], tmp_path / "diagonal.csv")  # its largest phase is 1e308 / 4
+
+
 def test_run_diagonal_takes_spins_in_either_order(tmp_path):
     swapped = cli.run_diagonal(2, 1, [0.3], tmp_path / "swapped.csv")
     ordered = cli.run_diagonal(1, 2, [0.3], tmp_path / "ordered.csv")
@@ -356,7 +365,7 @@ def test_sweep_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, cap
 
 
 def test_worker_count_is_bounded(monkeypatch):
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     monkeypatch.setenv("OPENT_WORKERS", "100000")  # only the count is computed, no pool starts
     assert cli._worker_count(4) == min(4, cpus)
     assert cli._worker_count(1) == 1
@@ -364,6 +373,15 @@ def test_worker_count_is_bounded(monkeypatch):
     assert cli._worker_count(4) == 1
     monkeypatch.delenv("OPENT_WORKERS")
     assert cli._worker_count(3) == min(3, cpus)
+
+
+def test_worker_count_is_capped_by_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # as under taskset -c 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("OPENT_WORKERS", "2")  # only the count is computed, no pool starts
+    assert cli._worker_count(2) == 1
+    monkeypatch.delenv("OPENT_WORKERS")
+    assert cli._worker_count(2) == 1
 
 
 def test_spectrum_counts_mass_outside_the_support(tmp_path):

@@ -19,8 +19,9 @@ from opent import (
     torsion,
 )
 from opent import kickedtop
-from opent.kickedtop import parity_floquet
+from opent.kickedtop import DRIFT_TOL, parity_floquet
 from opent.linalg import expi_hermitian, hs_inner, kron, unitarity_residual
+from opent.schmidt import parity_stack
 from opent.spin import jy, parity_basis
 from opent.states import product_basis_state
 from conftest import random_parity_unitary, random_unitary
@@ -139,7 +140,7 @@ def test_power_sequence_identity():
     assert [s.n for s in samples] == list(range(1, 11))
     for s in samples:
         np.testing.assert_array_equal(s.matrix, np.eye(3))
-        assert s.residual == 0
+        assert 0 <= s.residual <= DRIFT_TOL
 
 
 def test_power_sequence_fourth_root_of_unity():
@@ -173,7 +174,7 @@ def test_power_sequence_powers_a_stack_side_by_side():
     for s in samples:
         for u, power in zip((a, b), s.matrix):
             np.testing.assert_allclose(power, np.linalg.matrix_power(u, s.n), atol=1e-13)
-        assert s.residual == max(unitarity_residual(m) for m in s.matrix)
+        assert max(unitarity_residual(m) for m in s.matrix) <= s.residual <= DRIFT_TOL
 
 
 @pytest.mark.parametrize("j1, j2", [(0.5, 0.5), (0.5, 1.0), (1.5, 2.0), (10, 10)])
@@ -224,16 +225,20 @@ def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
     checked = []
 
     def counting(u):
-        checked.append(u)
+        checked.append(np.array(u))
         return unitarity_residual(u)
 
     monkeypatch.setattr(kickedtop, "unitarity_residual", counting)
     p = KickedTopParams(1, 1.5, 6.0, 3.0, 1.0)
+    stack, _ = parity_stack(*parity_floquet(p))
     for ns in (range(15, 28, 3), range(5, 30, 4)):  # the second starts off its step
         checked.clear()
         got = [n for n, _ in kickedtop.kicked_spectra(p, ns)]
         assert got == list(ns)
-        assert len(checked) == len(got)
+        # a Gram product for the step, the first and the last power, none in between
+        assert len(checked) == 3
+        for gram, n in zip(checked, (ns.step, ns.start, ns[-1])):
+            np.testing.assert_allclose(gram, np.linalg.matrix_power(stack, n), rtol=0, atol=1e-12)
 
 
 def test_power_sequence_drift_aborts():
@@ -259,7 +264,7 @@ def test_power_sequence_strides_match_matrix_powers(seed, layers, dim, stride, n
     assert [s.n for s in samples] == list(ns)
     for s in samples:
         np.testing.assert_allclose(s.matrix, np.linalg.matrix_power(u, s.n), rtol=0, atol=1e-12)
-        assert s.residual == unitarity_residual(s.matrix)
+        assert unitarity_residual(s.matrix) <= s.residual <= DRIFT_TOL
 
 
 @pytest.mark.parametrize("ns", [range(0, 20, 2), range(-2, 20, 2), range(20, 3, -2)])
@@ -274,6 +279,29 @@ def test_power_sequence_yields_read_only_powers():
         with pytest.raises(ValueError, match="read-only"):
             s.matrix[0, 0] = 0
     assert u.flags.writeable
+
+
+def test_power_sequence_measures_where_its_bound_runs_out(monkeypatch):
+    # S^2 = I up to rounding, but S^dag S - I = diag(2 delta, -2 delta) to first order,
+    # so the carried bound grows by about 4 delta per product while the powers stay put
+    delta = 5e-11
+    step = np.array([[0, 1 / (1 + delta)], [1 + delta, 0]], dtype=np.complex128)
+    measured = []
+
+    def counting(u):
+        measured.append(unitarity_residual(u))
+        return measured[-1]
+
+    monkeypatch.setattr(kickedtop, "unitarity_residual", counting)
+    samples = list(power_sequence(step, range(1, 301)))
+    assert [s.n for s in samples] == list(range(1, 301))
+    # the step, at least one power mid-range where the bound ran out, and the last power
+    assert 2 < len(measured) < 20
+    assert measured[0] == pytest.approx(2 * delta, rel=1e-3)
+    drops = [b.n for a, b in zip(samples, samples[1:]) if b.residual < a.residual]
+    assert drops and drops[0] < 300
+    for s in samples:
+        assert unitarity_residual(s.matrix) <= s.residual <= DRIFT_TOL
 
 
 def test_power_sequence_drift_aborts_at_the_first_strided_sample():
