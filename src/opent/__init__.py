@@ -1,74 +1,37 @@
-"""Operator entanglement of bipartite unitaries and coupled kicked tops."""
+"""Operator entanglement of bipartite unitaries and coupled kicked tops.
 
-from .linalg import kron
-from .kickedtop import (
-    KickedTopParams,
-    UnitarityDriftError,
-    coupling,
-    diagonal_coupling,
-    floquet,
-    free_rotation,
-    power_sequence,
-    product_rotation,
-    torsion,
-)
-from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_bounds, laguerre_density, saturation_estimate
-from .schmidt import (
-    BipartitionDims,
-    SchmidtSpectrum,
-    operator_entanglement,
-    realign,
-    reshape_vec,
-    schmidt_spectrum,
-    slin,
-    svn,
-)
-from .spin import SpinSystem, basis_state, jx, jy, jz
-from .states import (
-    PureState,
-    partial_trace_1,
-    partial_trace_2,
-    phi_p_state,
-    phi_state,
-    product_basis_state,
-    state_entropy,
-)
+The package loads lazily (PEP 562): `import opent` imports no submodule and
+no numpy. Each public name, and each submodule, is imported on first access.
+"""
 
-__all__ = [
-    "BipartitionDims",
-    "KickedTopParams",
-    "LaguerreLaw",
-    "PureState",
-    "SchmidtSpectrum",
-    "SpinSystem",
-    "UnitarityDriftError",
-    "basis_state",
-    "coupling",
-    "diagonal_coupling",
-    "fit_distance",
-    "floquet",
-    "free_rotation",
-    "histogram",
-    "jx",
-    "jy",
-    "jz",
-    "kron",
-    "laguerre_bounds",
-    "laguerre_density",
-    "operator_entanglement",
-    "partial_trace_1",
-    "partial_trace_2",
-    "phi_p_state",
-    "phi_state",
-    "power_sequence",
-    "product_basis_state",
-    "product_rotation",
-    "realign",
-    "reshape_vec",
-    "saturation_estimate",
-    "schmidt_spectrum",
-    "slin",
-    "state_entropy",
-    "svn",
-    "torsion",
-]
+import importlib
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "linalg": ("kron",),
+    "kickedtop": ("KickedTopParams", "UnitarityDriftError", "coupling", "diagonal_coupling",
+                  "floquet", "free_rotation", "power_sequence", "product_rotation", "torsion"),
+    "rmt": ("LaguerreLaw", "fit_distance", "histogram", "laguerre_bounds", "laguerre_density",
+            "saturation_estimate"),
+    "schmidt": ("BipartitionDims", "SchmidtSpectrum", "operator_entanglement", "realign",
+                "reshape_vec", "schmidt_spectrum", "slin", "svn"),
+    "spin": ("SpinSystem", "basis_state", "jx", "jy", "jz"),
+    "states": ("PureState", "partial_trace_1", "partial_trace_2", "phi_p_state", "phi_state",
+               "product_basis_state", "state_entropy"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -19,6 +19,15 @@ command-line flags taking precedence. Independent grid points run on a
 process pool of OPENT_WORKERS processes, capped by the point count and the
 CPUs the process may run on;
 outputs are written atomically and are byte-identical for any worker count.
+
+At module level this file imports only the standard library, so that the
+`opent` entry point starts without numpy. Each subcommand imports the
+compute modules it runs when it runs: `saturation` loads no numpy and
+`diagonal` no process pool. `run_sweep` and `run_spectrum` import what their
+pool workers run before the pool forks, so no worker imports a module of its
+own. Before anything loads numpy, `main` sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the user set any of them,
+so each pool worker runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -27,16 +36,28 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .kickedtop import KickedTopParams, kicked_spectra, rotation_phases, zz_phases
-from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density, saturation_estimate
-from .schmidt import BipartitionDims, schmidt_spectrum, slin, svn
-from .spin import SpinSystem
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def default_to_one_blas_thread() -> None:
+    """Set each of BLAS_THREAD_VARS to 1 if none is set and numpy is not loaded yet.
+
+    BLAS reads them once, when numpy loads, and pool workers inherit them.
+    Each worker is one compute process, so more BLAS threads would only
+    compete for its CPUs. A value the user set wins, and a process that
+    already holds numpy keeps its environment as it is.
+    """
+    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
 
 
 def _sweep_name(k: float, eps: float) -> str:
@@ -62,6 +83,8 @@ class SweepConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        from .kickedtop import KickedTopParams
+
         if not (self.n_max >= self.sample_stride >= 1):
             raise ValueError("need n_max >= sample_stride >= 1")
         if not self.k_values or not self.eps_values:
@@ -83,6 +106,8 @@ class SpectrumConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        from .kickedtop import KickedTopParams
+
         if len(self.saturation_window) != 3:
             window = ",".join(map(str, self.saturation_window))
             raise ValueError(f"window must be start,end,stride, got {window}")
@@ -129,6 +154,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def sweep_point(j1: float, j2: float, k: float, eps: float, n_max: int, stride: int):
     """Entropy time series [(n, S_V, S_L), ...] for one parameter point."""
+    from .kickedtop import KickedTopParams, kicked_spectra
+    from .schmidt import slin, svn
+
     spectra = kicked_spectra(KickedTopParams(j1, j2, k, k, eps), range(stride, n_max + 1, stride))
     return [(n, svn(spec), slin(spec)) for n, spec in spectra]
 
@@ -154,6 +182,10 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     still complete. Raises after the grid if any point failed, or if the
     output directory is unusable.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import kickedtop, schmidt  # noqa: F401  what the workers run, loaded before they fork
+
     tasks = [(cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values]
     workers = _worker_count(len(tasks))
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
@@ -170,12 +202,21 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
 def spectrum_eigenvalues(j1: float, j2: float, k: float, eps: float,
                          window: tuple[int, int, int]) -> np.ndarray:
     """Normalized operator-RDM eigenvalues aggregated over the window."""
+    import numpy as np
+
+    from .kickedtop import KickedTopParams, kicked_spectra
+
     n_start, n_end, stride = window
     spectra = kicked_spectra(KickedTopParams(j1, j2, k, k, eps), range(n_start, n_end + 1, stride))
     return np.concatenate([spec.normalized for _, spec in spectra])
 
 
 def _run_spectrum_point(args):
+    import numpy as np
+
+    from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density
+    from .spin import SpinSystem
+
     cfg, j2 = args
     n_dim = SpinSystem.from_j(cfg.j1).dim
     m_dim = SpinSystem.from_j(j2).dim
@@ -216,12 +257,22 @@ def _run_spectrum_point(args):
 
 
 def run_spectrum(cfg: SpectrumConfig) -> list[tuple[Path, Path, str, float]]:
-    """Per j2: eigenvalue dump, histogram CSV and a fit-distance report line."""
+    """Per j2: eigenvalue dump, histogram CSV and a fit-distance report line.
+
+    The points are submitted largest j2 first, so that the longest one does
+    not start last; results and report lines keep the order of j2_values.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import kickedtop, rmt, spin  # noqa: F401  what the workers run, loaded before they fork
+
     tasks = [(cfg, j2) for j2 in cfg.j2_values]
     workers = _worker_count(len(tasks))
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    largest_first = sorted(range(len(tasks)), key=lambda i: -cfg.j2_values[i])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_run_spectrum_point, tasks))
+        futures = {i: pool.submit(_run_spectrum_point, tasks[i]) for i in largest_first}
+    results = [futures[i].result() for i in range(len(tasks))]
     for _, _, report, _ in results:
         print(report)
     return results
@@ -237,6 +288,10 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
     spectrum, and that of the product rotation in the closing comment, must
     meet the sum rule.
     """
+    from .kickedtop import rotation_phases, zz_phases
+    from .schmidt import BipartitionDims, schmidt_spectrum, slin, svn
+    from .spin import SpinSystem
+
     alphas = list(alpha_values)
     if not alphas:
         raise ValueError("alpha list must be non-empty")
@@ -265,6 +320,8 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
 
 def run_saturation(n_small: int, m_big: int) -> str:
     """Report the closed-form plateau estimate next to ln(0.6 N^2) and ln N^2."""
+    from .rmt import saturation_estimate
+
     est = saturation_estimate(n_small, m_big)
     report = (
         f"N={n_small} M={m_big} Q={(m_big / n_small) ** 2:.6g}\n"
@@ -360,6 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    default_to_one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":

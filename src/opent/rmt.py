@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only in the functions that build arrays
+    import numpy as np
 
 # Midpoint nodes for the cosine-substituted quadrature of mass and mean.
 QUAD_NODES = 10_000
@@ -59,6 +61,8 @@ class LaguerreLaw:
 
 def laguerre_density(law: LaguerreLaw, lam) -> np.ndarray | float:
     """Eigenvalue density f at lam; zero outside the support."""
+    import numpy as np
+
     lam = np.asarray(lam, dtype=float)
     inside = (lam > law.lambda_min) & (lam < law.lambda_max) & (lam > 0)
     out = np.zeros_like(lam)
@@ -81,6 +85,8 @@ def _moment(law: LaguerreLaw, g_over_x) -> float:
     summand sin(theta)^2 g(x) / x is smooth and periodic for the g used
     here and the rule converges fast; `g_over_x(x)` returns g(x) / x.
     """
+    import numpy as np
+
     c = (law.lambda_max + law.lambda_min) / 2
     r = (law.lambda_max - law.lambda_min) / 2
     h = math.pi / QUAD_NODES
@@ -96,6 +102,8 @@ def density_mass(law: LaguerreLaw) -> float:
 
 def density_mean(law: LaguerreLaw) -> float:
     """First moment of f; equals 1 up to quadrature error."""
+    import numpy as np
+
     return _moment(law, np.ones_like)
 
 
@@ -118,7 +126,7 @@ class Histogram:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.bin_edges)
+        return self.bin_edges[1:] - self.bin_edges[:-1]
 
     @property
     def centers(self) -> np.ndarray:
@@ -126,11 +134,13 @@ class Histogram:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.heights * self.widths))
+        return float((self.heights * self.widths).sum())
 
 
 def histogram(eigs, bins: int, support: tuple[float, float]) -> Histogram:
     """Bin eigenvalues into counts-per-unit-length over the given support."""
+    import numpy as np
+
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
         raise ValueError("cannot histogram an empty sample")
@@ -146,6 +156,8 @@ def fit_distance(h: Histogram, law: LaguerreLaw) -> float:
     sum |height - f(center)| * width / N^2; zero for perfect agreement,
     about 2 for disjoint mass.
     """
+    import numpy as np
+
     if h.bin_edges[-1] < law.lambda_min or h.bin_edges[0] > law.lambda_max:
         raise ValueError("histogram support does not overlap law support")
     predicted = laguerre_density(law, h.centers)

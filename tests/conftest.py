@@ -1,5 +1,10 @@
-import numpy as np
 import pytest
+
+from opent.cli import default_to_one_blas_thread
+
+default_to_one_blas_thread()  # as the CLI does, before numpy loads
+
+import numpy as np  # noqa: E402
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -405,3 +406,128 @@ def test_diagonal_entropies_are_never_negative(tmp_path):
     values = [v for line in lines[1:-1] for v in line.split(",")[1:]]
     values.append(lines[-1].rsplit("= ", 1)[1])  # the product-rotation comment
     assert len(values) == 5 and not any(v.startswith("-") for v in values)
+
+
+def fresh_python(code):
+    """Run code in a new interpreter; return its stdout."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+@pytest.mark.parametrize("code", [
+    "import opent",
+    "import opent.cli",
+    "import opent.cli; opent.cli.main(['saturation', '--n', '21', '--m', '41'])",
+])
+def test_import_and_saturation_load_no_numpy(code):
+    assert fresh_python(f"{code}\nimport sys; print('numpy' in sys.modules)").splitlines()[-1] == "False"
+
+
+def test_diagonal_loads_no_process_pool(tmp_path):
+    code = (f"import sys, opent.cli; opent.cli.main(['diagonal', '--j1', '1', '--j2', '2', "
+            f"'--out', {str(tmp_path)!r}]); print('concurrent.futures' in sys.modules)")
+    assert fresh_python(code) == "False\n"
+    assert (tmp_path / "diagonal.csv").exists()
+
+
+def test_every_public_name_resolves_lazily():
+    code = """
+import opent
+assert all(getattr(opent, name) is not None for name in opent.__all__)
+exec(f"from opent import {', '.join(opent.__all__)}")
+from opent import rmt
+assert opent.rmt is rmt and opent.saturation_estimate is rmt.saturation_estimate
+try:
+    opent.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert fresh_python(code) == "module 'opent' has no attribute 'no_such_name'\n"
+
+
+def env_without_blas(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    return env | extra
+
+
+# Runs the CLI with each pool task wrapped: a worker prints its task, the BLAS
+# variables it sees and the modules it imported while running the task.
+WORKER_PROBE = """
+import json, os, sys
+import opent.cli as cli
+
+def probed(real, args):
+    before = set(sys.modules)
+    result = real(args)
+    line = json.dumps({"task": args[1:], "env": {v: os.environ.get(v) for v in cli.BLAS_THREAD_VARS},
+                       "imported": sorted(set(sys.modules) - before)})
+    os.write(1, (line + "\\n").encode())  # one write, so that two workers' lines do not interleave
+    return result
+
+def sweep_probe(args, real=cli._try_sweep_point):
+    return probed(real, args)
+
+def spectrum_probe(args, real=cli._run_spectrum_point):
+    return probed(real, args)
+
+cli._try_sweep_point, cli._run_spectrum_point = sweep_probe, spectrum_probe
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def probe_workers(args, env):
+    """(the workers' probe records, the other stdout lines) of one probed CLI call."""
+    res = subprocess.run([sys.executable, "-c", WORKER_PROBE, *args], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    probes = [json.loads(line) for line in lines if line.startswith("{")]
+    return probes, [line for line in lines if not line.startswith("{")]
+
+
+@pytest.mark.parametrize("user, seen", [
+    ({}, dict.fromkeys(cli.BLAS_THREAD_VARS, "1")),
+    ({"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                                     "MKL_NUM_THREADS": None}),
+])
+def test_pool_workers_get_one_blas_thread_unless_the_user_set_a_count(tmp_path, user, seen):
+    args = ["sweep", "--j1", "1", "--j2", "1", "--k", "6", "--eps", "0.1,1", "--nmax", "4",
+            "--stride", "2", "--out", str(tmp_path)]
+    probes, _ = probe_workers(args, env_without_blas(OPENT_WORKERS="2", **user))
+    assert sorted(p["task"] for p in probes) == [[6.0, 0.1], [6.0, 1.0]]
+    assert all(p["env"] == seen and p["imported"] == [] for p in probes)
+
+
+def test_spectrum_submits_the_largest_j2_first_and_reports_in_order(tmp_path):
+    args = ["spectrum", "--j1", "1", "--j2", "1,2,1.5", "--window", "4,12,4", "--bins", "5",
+            "--out", str(tmp_path)]
+    probes, reports = probe_workers(args, env_without_blas(OPENT_WORKERS="1"))
+    assert [p["task"] for p in probes] == [[2.0], [1.5], [1.0]]
+    assert all(p["imported"] == [] for p in probes)
+    assert [line.split()[0] for line in reports] == ["j2=1", "j2=2", "j2=1.5"]
+
+
+def test_main_leaves_the_environment_alone_once_numpy_is_loaded(monkeypatch):
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli.main(["saturation", "--n", "2", "--m", "3"]) == 0
+    assert not any(var in os.environ for var in cli.BLAS_THREAD_VARS)
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--j1", "3", "--j2", "5.5", "--k", "1,6", "--eps", "0.001,1", "--nmax", "40",
+     "--stride", "7"],
+    ["spectrum", "--j1", "3", "--j2", "3,4.5", "--window", "5,40,5"],
+])
+def test_outputs_do_not_depend_on_the_blas_variables(tmp_path, args):
+    outputs = []
+    for workers in ("1", "2"):
+        for user in ({}, dict.fromkeys(cli.BLAS_THREAD_VARS, "2")):
+            out = tmp_path / f"{workers}-{len(user)}"
+            res = subprocess.run([sys.executable, "-m", "opent.cli", *args, "--out", str(out)],
+                                 capture_output=True, text=True,
+                                 env=env_without_blas(OPENT_WORKERS=workers, **user))
+            assert res.returncode == 0, res.stderr
+            outputs.append((res.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert all(output == outputs[0] for output in outputs[1:])
