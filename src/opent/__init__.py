@@ -9,8 +9,8 @@ import importlib
 # submodule -> the public names it defines
 _EXPORTS = {
     "linalg": ("kron",),
-    "kickedtop": ("KickedTopParams", "UnitarityDriftError", "coupling", "diagonal_coupling",
-                  "floquet", "free_rotation", "power_sequence", "product_rotation", "torsion"),
+    "kickedtop": ("KickedTopParams", "UnitarityDriftError", "diagonal_coupling", "floquet",
+                  "power_sequence", "product_rotation"),
     "rmt": ("LaguerreLaw", "fit_distance", "histogram", "laguerre_bounds", "laguerre_density",
             "saturation_estimate"),
     "schmidt": ("BipartitionDims", "SchmidtSpectrum", "operator_entanglement", "realign",

@@ -14,11 +14,12 @@ each to the sum rule. Every grid point is validated by building its
 `KickedTopParams` (`diagonal`: its `SpinSystem`s), and windows, alphas and
 OPENT_WORKERS are checked, before any output is written.
 Parameters come from an optional `key=value` config file (# comments
-allowed; a key that is not one of the subcommand's flags is an error) with
-command-line flags taking precedence. Independent grid points run on a
-process pool of OPENT_WORKERS processes, capped by the point count and the
-CPUs the process may run on;
-outputs are written atomically and are byte-identical for any worker count.
+allowed) with command-line flags taking precedence; one table per subcommand
+declares its flags, config keys and help, so another subcommand's flag or
+key is an error. `sweep` and `spectrum` run their grid points through one
+driver, `_run_points`, on a pool of OPENT_WORKERS processes capped by the
+point count and the usable CPUs, with one failure policy (see there).
+Outputs are written atomically and are byte-identical for any worker count.
 
 At module level this file imports only the standard library, so that the
 `opent` entry point starts without numpy. Each subcommand imports the
@@ -38,10 +39,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -161,59 +158,65 @@ def sweep_point(j1: float, j2: float, k: float, eps: float, n_max: int, stride: 
     return [(n, svn(spec), slin(spec)) for n, spec in spectra]
 
 
-def _try_sweep_point(args):
-    """Write one sweep CSV; return its path, or a one-line failure message."""
-    cfg, k, eps = args
+def _attempt(point, task):
+    """point(task), or its exception as one line of text, since not every exception pickles."""
     try:
-        rows = sweep_point(cfg.j1, cfg.j2, k, eps, cfg.n_max, cfg.sample_stride)
-        lines = ["n,S_V,S_L"]
-        lines += [f"{n},{_fmt(sv)},{_fmt(sl)}" for n, sv, sl in rows]
-        path = Path(cfg.output_dir) / _sweep_name(k, eps)
-        _atomic_write(path, "\n".join(lines) + "\n")
-        return path
+        return point(task)
     except Exception as exc:  # one failed point must not cost the rest of the grid
-        return f"sweep point k={k:g} eps={eps:g}: {type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
-def run_sweep(cfg: SweepConfig) -> list[Path]:
-    """Write one `n,S_V,S_L` CSV per (k, eps) point; returns written paths.
+def _run_points(kind: str, point, tasks: dict, out: Path, cost=lambda task: 0,
+                report=lambda result: None) -> list:
+    """Run `point` on each task of {point name: task} on the pool; return the results in task order.
 
-    A failure at one point is reported on stderr and the other points
-    still complete. Raises after the grid if any point failed, or if the
-    output directory is unusable.
+    The pool is sized before the output directory is made, and the costliest
+    tasks start first, so that the longest one does not start last. Results
+    go to `report` in task order. A failed point is reported on stderr as one
+    line that names it and the rest of the grid still runs; then this raises.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    from . import kickedtop, schmidt  # noqa: F401  what the workers run, loaded before they fork
-
-    tasks = [(cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values]
     workers = _worker_count(len(tasks))
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    Path(out).mkdir(parents=True, exist_ok=True)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_try_sweep_point, tasks))
-    failures = [r for r in results if isinstance(r, str)]
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    if failures:
-        raise RuntimeError(f"{len(failures)} of {len(tasks)} sweep points failed")
+        futures = {name: pool.submit(_attempt, point, tasks[name])
+                   for name in sorted(tasks, key=lambda name: -cost(tasks[name]))}
+    results = []
+    for name in tasks:
+        if isinstance(result := futures[name].result(), str):
+            print(f"error: {kind} point {name}: {result}", file=sys.stderr)
+        else:
+            report(result)
+            results.append(result)
+    if len(results) < len(tasks):
+        raise RuntimeError(f"{len(tasks) - len(results)} of {len(tasks)} {kind} points failed")
     return results
 
 
-def spectrum_eigenvalues(j1: float, j2: float, k: float, eps: float,
-                         window: tuple[int, int, int]) -> np.ndarray:
-    """Normalized operator-RDM eigenvalues aggregated over the window."""
-    import numpy as np
+def _try_sweep_point(args) -> Path:
+    """Write one sweep CSV and return its path."""
+    cfg, k, eps = args
+    rows = sweep_point(cfg.j1, cfg.j2, k, eps, cfg.n_max, cfg.sample_stride)
+    lines = ["n,S_V,S_L"]
+    lines += [f"{n},{_fmt(sv)},{_fmt(sl)}" for n, sv, sl in rows]
+    path = Path(cfg.output_dir) / _sweep_name(k, eps)
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return path
 
-    from .kickedtop import KickedTopParams, kicked_spectra
 
-    n_start, n_end, stride = window
-    spectra = kicked_spectra(KickedTopParams(j1, j2, k, k, eps), range(n_start, n_end + 1, stride))
-    return np.concatenate([spec.normalized for _, spec in spectra])
+def run_sweep(cfg: SweepConfig) -> list[Path]:
+    """Write one `n,S_V,S_L` CSV per (k, eps) point; returns written paths (see `_run_points`)."""
+    from . import kickedtop, schmidt  # noqa: F401  what the workers run, loaded before they fork
+
+    tasks = {f"k={k:g} eps={eps:g}": (cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values}
+    return _run_points("sweep", _try_sweep_point, tasks, cfg.output_dir)
 
 
 def _run_spectrum_point(args):
     import numpy as np
 
+    from .kickedtop import KickedTopParams, kicked_spectra
     from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density
     from .spin import SpinSystem
 
@@ -221,7 +224,11 @@ def _run_spectrum_point(args):
     n_dim = SpinSystem.from_j(cfg.j1).dim
     m_dim = SpinSystem.from_j(j2).dim
     law = LaguerreLaw.from_dims(n_dim, m_dim)
-    eigs = spectrum_eigenvalues(cfg.j1, j2, cfg.k, cfg.eps, cfg.saturation_window)
+    n_start, n_end, stride = cfg.saturation_window
+    spectra = kicked_spectra(KickedTopParams(cfg.j1, j2, cfg.k, cfg.k, cfg.eps),
+                             range(n_start, n_end + 1, stride))
+    # normalized operator-RDM eigenvalues aggregated over the window
+    eigs = np.concatenate([spec.normalized for _, spec in spectra])
     n_steps = eigs.size // n_dim**2
 
     out = Path(cfg.output_dir)
@@ -257,25 +264,12 @@ def _run_spectrum_point(args):
 
 
 def run_spectrum(cfg: SpectrumConfig) -> list[tuple[Path, Path, str, float]]:
-    """Per j2: eigenvalue dump, histogram CSV and a fit-distance report line.
-
-    The points are submitted largest j2 first, so that the longest one does
-    not start last; results and report lines keep the order of j2_values.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
+    """Per j2, largest first: eigenvalue dump, histogram CSV and fit-distance report (`_run_points`)."""
     from . import kickedtop, rmt, spin  # noqa: F401  what the workers run, loaded before they fork
 
-    tasks = [(cfg, j2) for j2 in cfg.j2_values]
-    workers = _worker_count(len(tasks))
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    largest_first = sorted(range(len(tasks)), key=lambda i: -cfg.j2_values[i])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(_run_spectrum_point, tasks[i]) for i in largest_first}
-    results = [futures[i].result() for i in range(len(tasks))]
-    for _, _, report, _ in results:
-        print(report)
-    return results
+    tasks = {f"j2={j2:g}": (cfg, j2) for j2 in cfg.j2_values}
+    return _run_points("spectrum", _run_spectrum_point, tasks, cfg.output_dir,
+                       cost=lambda task: task[1], report=lambda result: print(result[2]))
 
 
 def run_diagonal(j1: float = 10.0, j2: float = 10.0,
@@ -358,23 +352,31 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-# Per subcommand: flag (also its config-file key) -> (keyword argument, parser).
+# Per subcommand: flag (also its config-file key) -> (keyword argument, parser, help).
 # Keys set neither in the file nor by a flag keep the target's defaults.
 _SWEEP_FLAGS = {
-    "j1": ("j1", float), "j2": ("j2", float),
-    "k": ("k_values", _floats), "eps": ("eps_values", _floats),
-    "nmax": ("n_max", int), "stride": ("sample_stride", int),
-    "out": ("output_dir", Path),
+    "j1": ("j1", float, "spin of the first top"),
+    "j2": ("j2", float, "spin of the second top"),
+    "k": ("k_values", _floats, "kick strengths, comma-separated"),
+    "eps": ("eps_values", _floats, "coupling strengths, comma-separated"),
+    "nmax": ("n_max", int, "number of time steps"),
+    "stride": ("sample_stride", int, "sampling stride"),
+    "out": ("output_dir", Path, "output directory"),
 }
 _SPECTRUM_FLAGS = {
-    "j1": ("j1", float), "j2": ("j2_values", _floats),
-    "k": ("k", float), "eps": ("eps", float),
-    "window": ("saturation_window", _ints), "bins": ("bins", int),
-    "out": ("output_dir", Path),
+    "j1": ("j1", float, "spin of the first top"),
+    "j2": ("j2_values", _floats, "spins of the second top, comma-separated"),
+    "k": ("k", float, "kick strength"),
+    "eps": ("eps", float, "coupling strength"),
+    "window": ("saturation_window", _ints, "saturation window as start,end,stride"),
+    "bins": ("bins", int, "histogram bin count"),
+    "out": ("output_dir", Path, "output directory"),
 }
 _DIAGONAL_FLAGS = {
-    "j1": ("j1", float), "j2": ("j2", float), "alpha": ("alpha_values", _floats),
-    "out": ("output_path", lambda text: Path(text) / "diagonal.csv"),
+    "j1": ("j1", float, "spin of the first top"),
+    "j2": ("j2", float, "spin of the second top"),
+    "alpha": ("alpha_values", _floats, "alpha values, comma-separated"),
+    "out": ("output_path", lambda text: Path(text) / "diagonal.csv", "output directory"),
 }
 
 
@@ -384,31 +386,21 @@ def _kwargs(args, flags) -> dict:
     if unknown := sorted(values.keys() - flags.keys()):
         raise ValueError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
     values.update({f: getattr(args, f) for f in flags if getattr(args, f) is not None})
-    return {field: parse(values[f]) for f, (field, parse) in flags.items() if f in values}
+    return {field: parse(values[f]) for f, (field, parse, _) in flags.items() if f in values}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opent")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="key=value config file")
-    common.add_argument("--j1", help="spin of the first top")
-    common.add_argument("--j2", help="spin of the second top (comma list for spectrum)")
-    common.add_argument("--k", help="kick strength(s), comma-separated")
-    common.add_argument("--eps", help="coupling strength(s), comma-separated")
-    common.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("sweep", parents=[common], help="entropy vs time step over a grid")
-    p.add_argument("--nmax", help="number of time steps")
-    p.add_argument("--stride", help="sampling stride")
-
-    p = sub.add_parser("spectrum", parents=[common], help="operator-RDM spectra vs RMT law")
-    p.add_argument("--window", help="saturation window as start,end,stride")
-    p.add_argument("--bins", help="histogram bin count")
-
-    p = sub.add_parser("diagonal", parents=[common], help="entanglement of exp(-i a Jz x Jz)")
-    p.add_argument("--alpha", help="alpha values, comma-separated")
+    for command, flags, text in (
+        ("sweep", _SWEEP_FLAGS, "entropy vs time step over a grid"),
+        ("spectrum", _SPECTRUM_FLAGS, "operator-RDM spectra vs RMT law"),
+        ("diagonal", _DIAGONAL_FLAGS, "entanglement of exp(-i a Jz x Jz)"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", type=Path, help="key=value config file")
+        for flag, (_, _, text) in flags.items():
+            p.add_argument(f"--{flag}", help=text)
 
     p = sub.add_parser("saturation", help="Laguerre-law entropy plateau estimate")
     p.add_argument("--n", required=True, help="smaller subsystem dimension N")

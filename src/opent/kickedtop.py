@@ -4,9 +4,12 @@ One period of top i is a free precession R_i = exp(-i (pi/2) Jy_i) followed
 by a torsion exp(-i (k_i / 2 j_i) Jz_i^2); the two tops are then coupled
 through exp(-i (eps / sqrt(j1 j2)) Jz_1 Jz_2). The torsions and the coupling
 are diagonal in the product Jz basis, one N x M phase array g
-(`kick_phases`), so U_T = diag(g) (R_1 x R_2). `zz_phases` and
-`rotation_phases` return the diagonals of the Jz x Jz couplings and of the
-product rotation; `schmidt.schmidt_spectrum` accepts such a diagonal.
+(`kick_phases`), so U_T = diag(g) (R_1 x R_2). Each precession has one
+build, R = w diag(exp(-i pi m / 2)) w^dag in the Jy eigenbasis w of
+`spin.parity_basis`: the dense `floquet` multiplies it out, `parity_floquet`
+stays in that basis. `zz_phases` and `rotation_phases` return the diagonals
+of the Jz x Jz couplings and of the product rotation;
+`schmidt.schmidt_spectrum` accepts such a diagonal.
 
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
@@ -37,9 +40,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import expi_hermitian, kron, unitarity_residual
+from .linalg import kron, unitarity_residual
 from .schmidt import BipartitionDims, SchmidtSpectrum, parity_gather, parity_stack, schmidt_spectrum
-from .spin import SpinSystem, jy, parity_basis
+from .spin import SpinSystem, parity_basis
 
 # Abort threshold for unitarity drift of the powers.
 DRIFT_TOL = 1e-8
@@ -87,11 +90,6 @@ class KickedTopParams:
             if not math.isfinite(abs(value) * per_unit):
                 raise ValueError(f"{name}={value:g} overflows the largest {phase}")
 
-    @classmethod
-    def symmetric(cls, j: float, k: float, epsilon: float) -> "KickedTopParams":
-        """Both tops with the same spin and kick strength."""
-        return cls(j, j, k, k, epsilon)
-
     @property
     def top1(self) -> SpinSystem:
         return SpinSystem.from_j(self.j1)
@@ -101,30 +99,9 @@ class KickedTopParams:
         return SpinSystem.from_j(self.j2)
 
 
-def free_rotation(s: SpinSystem) -> np.ndarray:
-    """exp(-i (pi/2) Jy): quarter-period precession about y."""
-    return expi_hermitian(jy(s), math.pi / 2)
-
-
-def torsion(s: SpinSystem, k: float) -> np.ndarray:
-    """exp(-i (k / 2j) Jz^2), diagonal in the Jz basis."""
-    m = s.m_values()
-    return np.diag(np.exp(-1j * (k / s.two_j) * m**2))
-
-
 def zz_phases(s1: SpinSystem, s2: SpinSystem, prefactor: float) -> np.ndarray:
     """Diagonal of exp(-i prefactor Jz x Jz) in the product Jz basis."""
     return np.exp(-1j * prefactor * np.outer(s1.m_values(), s2.m_values())).ravel()
-
-
-def coupling_phases(s1: SpinSystem, s2: SpinSystem, epsilon: float) -> np.ndarray:
-    """Diagonal of the spin-spin coupling exp(-i (eps / sqrt(j1 j2)) Jz x Jz)."""
-    return zz_phases(s1, s2, epsilon / math.sqrt(s1.j * s2.j))
-
-
-def coupling(s1: SpinSystem, s2: SpinSystem, epsilon: float) -> np.ndarray:
-    """Spin-spin coupling exp(-i (eps / sqrt(j1 j2)) Jz x Jz)."""
-    return np.diag(coupling_phases(s1, s2, epsilon))
 
 
 def diagonal_coupling(s1: SpinSystem, s2: SpinSystem, alpha: float) -> np.ndarray:
@@ -145,13 +122,18 @@ def product_rotation(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
 def kick_phases(p: KickedTopParams) -> np.ndarray:
     """N x M phases g[a, c] of coupling . (torsion1 x torsion2) at Jz values (m1_a, m2_c)."""
     s1, s2 = p.top1, p.top2
-    g = coupling_phases(s1, s2, p.epsilon).reshape(s1.dim, s2.dim)
-    return g * np.outer(np.diag(torsion(s1, p.k1)), np.diag(torsion(s2, p.k2)))
+    def torsion(s, k):  # diagonal of exp(-i (k / 2j) Jz^2)
+        return np.exp(-1j * (k / s.two_j) * s.m_values() ** 2)
+    g = zz_phases(s1, s2, p.epsilon / math.sqrt(s1.j * s2.j)).reshape(s1.dim, s2.dim)
+    return g * np.outer(torsion(s1, p.k1), torsion(s2, p.k2))
 
 
 def floquet(p: KickedTopParams) -> np.ndarray:
-    """One-period evolution diag(g) (rot1 x rot2): `kick_phases` g scale the rows."""
-    return kick_phases(p).reshape(-1, 1) * kron(free_rotation(p.top1), free_rotation(p.top2))
+    """Dense one-period evolution diag(g) (R_1 x R_2), g from `kick_phases`, R from `parity_basis`."""
+    def precession(s):  # exp(-i (pi/2) Jy) = w diag(exp(-i pi m / 2)) w^dag
+        w, _ = parity_basis(s)
+        return (w * np.exp(-0.5j * math.pi * s.m_values())) @ w.conj().T
+    return kick_phases(p).reshape(-1, 1) * kron(precession(p.top1), precession(p.top2))
 
 
 def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -63,12 +63,6 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def expi_hermitian(h, theta: float) -> np.ndarray:
-    """exp(-i * theta * h) for Hermitian h, via eigendecomposition."""
-    w, v = eigh(h)
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
-
-
 def unitarity_residual(u) -> float:
     """Max-norm of u^dag u - I over a matrix or a stack (..., n, n) of them.
 

@@ -6,6 +6,8 @@ default_to_one_blas_thread()  # as the CLI does, before numpy loads
 
 import numpy as np  # noqa: E402
 
+from opent.linalg import eigh  # noqa: E402
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -33,6 +35,16 @@ def random_parity_unitary(rng: np.random.Generator, l1, l2) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = random_complex(rng, dim, dim)
     return (a + a.conj().T) / 2
+
+
+def expi_hermitian(h, theta: float) -> np.ndarray:
+    """exp(-i theta h) for Hermitian h from `linalg.eigh`: the dense oracle for rotations.
+
+    It takes no path through `spin.parity_basis`, so the package's
+    precession and parity builds can be checked against it.
+    """
+    w, v = eigh(h)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
 
 
 def swap_operator(dim: int) -> np.ndarray:

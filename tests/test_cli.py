@@ -365,6 +365,39 @@ def test_sweep_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, cap
     assert err[1] == "error: RuntimeError: 1 of 4 sweep points failed"
 
 
+@pytest.mark.parametrize("failure", [UnitarityDriftError(5, 1e-6), FloatingPointError("boom")])
+def test_spectrum_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, capsys, failure):
+    real = kickedtop.kicked_spectra
+
+    def flaky(params, ns):
+        if params.j2 == 1.5:
+            raise failure
+        return real(params, ns)
+
+    monkeypatch.setenv("OPENT_WORKERS", "1")
+    monkeypatch.setattr(kickedtop, "kicked_spectra", flaky)  # the forked worker inherits it
+    out = tmp_path / "out"
+    code = cli.main(["spectrum", "--j1", "1", "--j2", "1,1.5,2", "--window", "4,12,4", "--bins", "5",
+                     "--out", str(out)])
+    assert code == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "eigenvalues_j2_1.txt", "eigenvalues_j2_2.txt", "histogram_j2_1.csv", "histogram_j2_2.csv"]
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0].startswith(f"error: spectrum point j2=1.5: {type(failure).__name__}: ")
+    assert err[-1] == "error: RuntimeError: 1 of 3 spectrum points failed"
+    assert [line.split()[0] for line in captured.out.splitlines()] == ["j2=1", "j2=2"]
+
+
+@pytest.mark.parametrize("flag", ["--k", "--eps"])
+def test_cli_diagonal_rejects_a_flag_of_the_kicked_commands(tmp_path, flag):
+    res = run_cli(["diagonal", "--j1", "1", "--j2", "1", flag, "3", "--alpha", "0.5",
+                   "--out", str(tmp_path / "out")])
+    assert res.returncode != 0
+    assert f"unrecognized arguments: {flag} 3" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_worker_count_is_bounded(monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     monkeypatch.setenv("OPENT_WORKERS", "100000")  # only the count is computed, no pool starts

@@ -8,28 +8,37 @@ from opent import (
     KickedTopParams,
     SpinSystem,
     UnitarityDriftError,
-    coupling,
     diagonal_coupling,
     floquet,
-    free_rotation,
     jz,
     operator_entanglement,
     power_sequence,
     product_rotation,
-    torsion,
 )
 from opent import kickedtop
-from opent.kickedtop import DRIFT_TOL, parity_floquet
-from opent.linalg import expi_hermitian, hs_inner, kron, unitarity_residual
+from opent.kickedtop import DRIFT_TOL, kick_phases, parity_floquet
+from opent.linalg import hs_inner, kron, unitarity_residual
 from opent.schmidt import parity_stack
 from opent.spin import jy, parity_basis
 from opent.states import product_basis_state
-from conftest import random_parity_unitary, random_unitary
+from conftest import expi_hermitian, random_parity_unitary, random_unitary
 
 HALF = SpinSystem(1)
 J10 = SpinSystem.from_j(10)
 SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 SPIN_PAIRS = [(a, b) for a in SPINS for b in SPINS if a <= b]
+
+
+def dense_top(s: SpinSystem, k: float) -> np.ndarray:
+    """One top's torsion times its precession, both dense and built without `parity_basis`."""
+    torsion = np.diag(np.exp(-1j * (k / s.two_j) * s.m_values() ** 2))
+    return torsion @ expi_hermitian(jy(s), np.pi / 2)
+
+
+def dense_coupling(s1: SpinSystem, s2: SpinSystem, eps: float) -> np.ndarray:
+    """exp(-i (eps / sqrt(j1 j2)) Jz x Jz) as a dense diagonal matrix."""
+    phases = np.exp(-1j * eps / np.sqrt(s1.j * s2.j) * np.outer(s1.m_values(), s2.m_values()))
+    return np.diag(phases.ravel())
 
 
 def test_params_validation():
@@ -53,57 +62,64 @@ def test_params_validation():
     with pytest.raises(ValueError, match=r"epsilon=1e\+308 overflows the largest coupling phase"):
         KickedTopParams(10, 20, 1, 1, 1e308)
     KickedTopParams(0.5, 0.5, 1e308, 1e308, 1e308)  # each largest phase is 1e308 / 2
-    p = KickedTopParams.symmetric(10, 6.0, 1.0)
+    p = KickedTopParams(10, 10, 6.0, 6.0, 1.0)
     assert p.top1.dim == p.top2.dim == 21
+
+
+def unkicked(j1, j2) -> np.ndarray:
+    """`floquet` with no torsion and no coupling: the product of the two precessions."""
+    return floquet(KickedTopParams(j1, j2, 0.0, 0.0, 0.0))
 
 
 def test_free_rotation_spin_half():
     # pi/2 rotation about y in the ascending-m basis
     expected = np.array([[1, 1], [-1, 1]]) / np.sqrt(2)
-    np.testing.assert_allclose(free_rotation(HALF), expected, atol=1e-14)
+    np.testing.assert_allclose(unkicked(0.5, 0.5), kron(expected, expected), atol=1e-14)
 
 
 def test_free_rotation_unitary():
-    assert unitarity_residual(free_rotation(J10)) < 1e-12
+    assert unitarity_residual(unkicked(10, 10)) < 1e-12
 
 
 def test_free_rotation_full_turn_integer_spin():
     # exp(-i 2 pi Jy) = identity for integer j
-    u = free_rotation(J10)
-    np.testing.assert_allclose(u @ u @ u @ u, np.eye(21), atol=1e-10)
+    u = unkicked(10, 10)
+    np.testing.assert_allclose(u @ u @ u @ u, np.eye(441), atol=1e-10)
 
 
 def test_torsion_examples():
-    np.testing.assert_allclose(torsion(J10, 0.0), np.eye(21), atol=1e-15)
+    # with no coupling the kick phases are the outer product of the two torsion diagonals
+    np.testing.assert_allclose(kick_phases(KickedTopParams(10, 10, 0.0, 0.0, 0.0)), 1, atol=1e-15)
     # spin-1/2: m^2 = 1/4 on both levels, so pure global phase
-    t = torsion(HALF, 3.0)
-    np.testing.assert_allclose(t, np.exp(-3j / 4) * np.eye(2), atol=1e-14)
+    g = kick_phases(KickedTopParams(0.5, 0.5, 3.0, 0.0, 0.0))
+    np.testing.assert_allclose(g, np.exp(-3j / 4), atol=1e-14)
     # j=10, k=6, m=10: exp(-i * 6/20 * 100)
-    assert torsion(J10, 6.0)[20, 20] == pytest.approx(np.exp(-30j))
+    assert kick_phases(KickedTopParams(10, 10, 6.0, 0.0, 0.0))[20, 0] == pytest.approx(np.exp(-30j))
 
 
 def test_coupling_examples():
-    np.testing.assert_allclose(coupling(J10, J10, 0.0), np.eye(441), atol=1e-15)
-    c = coupling(J10, J10, 1.0)
-    # corner (m1, m2) = (j1, j2) at product index (2j1)(M) + 2j2
-    assert c[440, 440] == pytest.approx(np.exp(-1j * np.sqrt(100.0)))
+    # with no torsion the kick phases are the coupling diagonal, rows m1 and columns m2
+    g = kick_phases(KickedTopParams(10, 10, 0.0, 0.0, 1.0))
+    # corner (m1, m2) = (j1, j2): exp(-i (1 / sqrt(100)) 100)
+    assert g[20, 20] == pytest.approx(np.exp(-1j * np.sqrt(100.0)))
+    np.testing.assert_allclose(g[10], 1, atol=1e-15)  # m1 = 0
 
 
 def test_coupling_commutes_with_local_jz():
-    c = coupling(HALF, J10, 0.7)
+    c = diagonal_coupling(HALF, J10, 0.7)
     for local in (kron(jz(HALF), np.eye(21)), kron(np.eye(2), jz(J10))):
         np.testing.assert_allclose(c @ local, local @ c, atol=1e-12)
 
 
 def test_coupling_additivity():
-    lhs = coupling(HALF, J10, 0.3) @ coupling(HALF, J10, 0.9)
-    np.testing.assert_allclose(lhs, coupling(HALF, J10, 1.2), atol=1e-12)
+    lhs = diagonal_coupling(HALF, J10, 0.3) @ diagonal_coupling(HALF, J10, 0.9)
+    np.testing.assert_allclose(lhs, diagonal_coupling(HALF, J10, 1.2), atol=1e-12)
 
 
 def test_floquet_zero_coupling_is_product():
-    p = KickedTopParams.symmetric(2, 3.0, 0.0)
+    p = KickedTopParams(2, 2, 3.0, 3.0, 0.0)
     s = p.top1
-    u1 = torsion(s, 3.0) @ free_rotation(s)
+    u1 = dense_top(s, 3.0)
     np.testing.assert_allclose(floquet(p), kron(u1, u1), atol=1e-13)
     sv, sl = operator_entanglement(floquet(p), BipartitionDims(5, 5))
     assert sv == pytest.approx(0, abs=1e-10)
@@ -115,9 +131,8 @@ def test_floquet_zero_coupling_is_product():
 def test_floquet_builds_match_the_dense_factor_products(j1, j2, eps):
     p = KickedTopParams(j1, j2, 2.5, 5.0, eps)
     s1, s2 = p.top1, p.top2
-    u1, u2 = torsion(s1, 2.5) @ free_rotation(s1), torsion(s2, 5.0) @ free_rotation(s2)
-    u = floquet(p)
-    np.testing.assert_allclose(u, coupling(s1, s2, eps) @ kron(u1, u2), rtol=0, atol=1e-14)
+    u = dense_coupling(s1, s2, eps) @ kron(dense_top(s1, 2.5), dense_top(s2, 5.0))
+    np.testing.assert_allclose(floquet(p), u, rtol=0, atol=1e-14)
     (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
     w = kron(w1, w2)
     half = np.kron(np.exp(-0.25j * np.pi * s1.m_values()), np.exp(-0.25j * np.pi * s2.m_values()))
@@ -130,7 +145,7 @@ def test_floquet_builds_match_the_dense_factor_products(j1, j2, eps):
 
 
 def test_floquet_unitarity_and_norm():
-    u = floquet(KickedTopParams.symmetric(10, 6.0, 1.0))
+    u = floquet(KickedTopParams(10, 10, 6.0, 6.0, 1.0))
     assert unitarity_residual(u) < 1e-12
     assert hs_inner(u, u).real == pytest.approx(441, rel=1e-12)
 
@@ -150,7 +165,7 @@ def test_power_sequence_fourth_root_of_unity():
 
 
 def test_power_sequence_matches_repeated_matmul():
-    u = floquet(KickedTopParams.symmetric(3, 2.0, 0.5))
+    u = floquet(KickedTopParams(3, 3, 2.0, 2.0, 0.5))
     expected = np.eye(u.shape[0], dtype=complex)
     for _ in range(5):
         expected = expected @ u
@@ -167,7 +182,7 @@ def test_power_sequence_stride_and_bounds():
 
 
 def test_power_sequence_powers_a_stack_side_by_side():
-    a = floquet(KickedTopParams.symmetric(1, 2.0, 0.5))
+    a = floquet(KickedTopParams(1, 1, 2.0, 2.0, 0.5))
     b = floquet(KickedTopParams(1, 1, 3.0, 1.0, 0.3))
     samples = list(power_sequence(np.stack([a, b]), range(3, 7, 3)))
     assert [s.n for s in samples] == [3, 6]

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opent import SpinSystem, basis_state, jx, jy, jz
-from opent.linalg import eigh, expi_hermitian
+from opent.linalg import eigh
 from opent.spin import parity_basis
+from conftest import expi_hermitian
 
 HALF = SpinSystem(1)
 ONE = SpinSystem(2)
