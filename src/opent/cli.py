@@ -18,7 +18,8 @@ allowed) with command-line flags taking precedence; one table per subcommand
 declares its flags, config keys and help, so another subcommand's flag or
 key is an error. `sweep` and `spectrum` run their grid points through one
 driver, `_run_points`, on a pool of OPENT_WORKERS processes capped by the
-point count and the usable CPUs, with one failure policy (see there).
+point count and the usable CPUs, with one failure policy (see there). A
+point's stem (`k6_eps0.5`, `j2_1.5`) names its task, files and failure line.
 Outputs are written atomically and are byte-identical for any worker count.
 
 At module level this file imports only the standard library, so that the
@@ -57,8 +58,12 @@ def default_to_one_blas_thread() -> None:
         os.environ[var] = "1"
 
 
-def _sweep_name(k: float, eps: float) -> str:
-    return f"sweep_k{k:g}_eps{eps:g}.csv"
+def _sweep_stem(k: float, eps: float) -> str:  # sweep_<stem>.csv
+    return f"k{k:g}_eps{eps:g}"
+
+
+def _spectrum_stem(j2: float) -> str:  # eigenvalues_<stem>.txt and histogram_<stem>.csv
+    return f"j2_{j2:g}"
 
 
 def _reject_repeats(names) -> None:
@@ -86,10 +91,10 @@ class SweepConfig:
             raise ValueError("need n_max >= sample_stride >= 1")
         if not self.k_values or not self.eps_values:
             raise ValueError("k and eps lists must be non-empty")
-        for k in self.k_values:
-            for eps in self.eps_values:
-                KickedTopParams(self.j1, self.j2, k, k, eps)
-        _reject_repeats(_sweep_name(k, eps) for k in self.k_values for eps in self.eps_values)
+        grid = [(k, eps) for k in self.k_values for eps in self.eps_values]
+        for k, eps in grid:
+            KickedTopParams(self.j1, self.j2, k, k, eps)
+        _reject_repeats(f"sweep_{_sweep_stem(k, eps)}.csv" for k, eps in grid)
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,15 @@ class SpectrumConfig:
             raise ValueError("j2 list must be non-empty")
         for j2 in self.j2_values:
             KickedTopParams(self.j1, j2, self.k, self.k, self.eps)
-        _reject_repeats(f"eigenvalues_j2_{j2:g}.txt" for j2 in self.j2_values)
+        _reject_repeats(f"eigenvalues_{_spectrum_stem(j2)}.txt" for j2 in self.j2_values)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _row(values) -> str:
+    return ",".join(map(_fmt, values))
 
 
 def _worker_count(tasks: int) -> int:
@@ -143,9 +152,9 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(requested, tasks, cpus))
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, lines) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
@@ -198,10 +207,8 @@ def _try_sweep_point(args) -> Path:
     """Write one sweep CSV and return its path."""
     cfg, k, eps = args
     rows = sweep_point(cfg.j1, cfg.j2, k, eps, cfg.n_max, cfg.sample_stride)
-    lines = ["n,S_V,S_L"]
-    lines += [f"{n},{_fmt(sv)},{_fmt(sl)}" for n, sv, sl in rows]
-    path = Path(cfg.output_dir) / _sweep_name(k, eps)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    path = Path(cfg.output_dir) / f"sweep_{_sweep_stem(k, eps)}.csv"
+    _atomic_write(path, ["n,S_V,S_L", *map(_row, rows)])
     return path
 
 
@@ -209,7 +216,7 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     """Write one `n,S_V,S_L` CSV per (k, eps) point; returns written paths (see `_run_points`)."""
     from . import kickedtop, schmidt  # noqa: F401  what the workers run, loaded before they fork
 
-    tasks = {f"k={k:g} eps={eps:g}": (cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values}
+    tasks = {_sweep_stem(k, eps): (cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values}
     return _run_points("sweep", _try_sweep_point, tasks, cfg.output_dir)
 
 
@@ -218,40 +225,31 @@ def _run_spectrum_point(args):
 
     from .kickedtop import KickedTopParams, kicked_spectra
     from .rmt import LaguerreLaw, fit_distance, histogram, laguerre_density
-    from .spin import SpinSystem
 
     cfg, j2 = args
-    n_dim = SpinSystem.from_j(cfg.j1).dim
-    m_dim = SpinSystem.from_j(j2).dim
+    params = KickedTopParams(cfg.j1, j2, cfg.k, cfg.k, cfg.eps)
+    n_dim, m_dim = params.top1.dim, params.top2.dim
     law = LaguerreLaw.from_dims(n_dim, m_dim)
     n_start, n_end, stride = cfg.saturation_window
-    spectra = kicked_spectra(KickedTopParams(cfg.j1, j2, cfg.k, cfg.k, cfg.eps),
-                             range(n_start, n_end + 1, stride))
+    spectra = kicked_spectra(params, range(n_start, n_end + 1, stride))
     # normalized operator-RDM eigenvalues aggregated over the window
     eigs = np.concatenate([spec.normalized for _, spec in spectra])
     n_steps = eigs.size // n_dim**2
 
-    out = Path(cfg.output_dir)
-    eig_path = out / f"eigenvalues_j2_{j2:g}.txt"
-    header = (
-        f"# N={n_dim} M={m_dim} Q={law.q:.12g}\n"
-        f"# k={cfg.k:g} eps={cfg.eps:g} window={cfg.saturation_window} steps={n_steps}\n"
-    )
-    _atomic_write(eig_path, header + "\n".join(_fmt(x) for x in eigs) + "\n")
+    out, stem = Path(cfg.output_dir), _spectrum_stem(j2)
+    eig_path = out / f"eigenvalues_{stem}.txt"
+    header = [f"# N={n_dim} M={m_dim} Q={law.q:.12g}",
+              f"# k={cfg.k:g} eps={cfg.eps:g} window={cfg.saturation_window} steps={n_steps}"]
+    _atomic_write(eig_path, [*header, *map(_fmt, eigs)])
 
     support = (0.0, 1.05 * law.lambda_max)
     h = histogram(eigs, cfg.bins, support)
     # per-time-step density, comparable with the law's total mass N^2
     heights = h.heights / n_steps
     predicted = laguerre_density(law, h.centers)
-    lines = ["bin_left,bin_right,empirical_density,laguerre_density"]
-    for i in range(cfg.bins):
-        lines.append(
-            f"{_fmt(h.bin_edges[i])},{_fmt(h.bin_edges[i + 1])},"
-            f"{_fmt(heights[i])},{_fmt(predicted[i])}"
-        )
-    hist_path = out / f"histogram_j2_{j2:g}.csv"
-    _atomic_write(hist_path, "\n".join(lines) + "\n")
+    hist_path = out / f"histogram_{stem}.csv"
+    _atomic_write(hist_path, ["bin_left,bin_right,empirical_density,laguerre_density",
+                              *map(_row, zip(h.bin_edges[:-1], h.bin_edges[1:], heights, predicted))])
 
     # eigenvalues the histogram drops; per step this is the lost mass over N^2
     outside = np.count_nonzero((eigs < support[0]) | (eigs > support[1])) / eigs.size
@@ -265,9 +263,9 @@ def _run_spectrum_point(args):
 
 def run_spectrum(cfg: SpectrumConfig) -> list[tuple[Path, Path, str, float]]:
     """Per j2, largest first: eigenvalue dump, histogram CSV and fit-distance report (`_run_points`)."""
-    from . import kickedtop, rmt, spin  # noqa: F401  what the workers run, loaded before they fork
+    from . import kickedtop, rmt  # noqa: F401  what the workers run, loaded before they fork
 
-    tasks = {f"j2={j2:g}": (cfg, j2) for j2 in cfg.j2_values}
+    tasks = {_spectrum_stem(j2): (cfg, j2) for j2 in cfg.j2_values}
     return _run_points("spectrum", _run_spectrum_point, tasks, cfg.output_dir,
                        cost=lambda task: task[1], report=lambda result: print(result[2]))
 
@@ -282,7 +280,7 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
     spectrum, and that of the product rotation in the closing comment, must
     meet the sum rule.
     """
-    from .kickedtop import rotation_phases, zz_phases
+    from .kickedtop import check_phase, rotation_phases, zz_phases
     from .schmidt import BipartitionDims, schmidt_spectrum, slin, svn
     from .spin import SpinSystem
 
@@ -291,10 +289,7 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
         raise ValueError("alpha list must be non-empty")
     s1, s2 = sorted((SpinSystem.from_j(j1), SpinSystem.from_j(j2)), key=lambda s: s.dim)
     for alpha in alphas:
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha:g}")
-        if not math.isfinite(abs(alpha) * s1.j * s2.j):
-            raise ValueError(f"alpha={alpha:g} overflows the largest coupling phase |alpha| j1 j2")
+        check_phase("alpha", alpha, s1.j * s2.j, "coupling phase |alpha| j1 j2")
     if 0.0 not in alphas:
         alphas = [0.0] + alphas
     dims = BipartitionDims(s1.dim, s2.dim)
@@ -302,13 +297,13 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
     for alpha in alphas:
         spec = schmidt_spectrum(zz_phases(s1, s2, alpha), dims)
         spec.check_sum_rule(f"alpha={alpha:g}")
-        lines.append(f"{_fmt(alpha)},{_fmt(svn(spec))},{_fmt(slin(spec))}")
+        lines.append(_row((alpha, svn(spec), slin(spec))))
     spec = schmidt_spectrum(rotation_phases(s1, s2, 0.7), dims)
     spec.check_sum_rule("the product rotation")
     lines.append(f"# S_V(product rotation, p=0.7) = {_fmt(svn(spec))}")
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(output_path, "\n".join(lines) + "\n")
+    _atomic_write(output_path, lines)
     return output_path
 
 

@@ -51,12 +51,22 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 class UnitarityDriftError(RuntimeError):
-    """Raised when a power of a unitary loses unitarity."""
+    """Raised when a power of a unitary loses unitarity; `args` is (n, residual), so it pickles."""
 
     def __init__(self, n: int, residual: float):
-        super().__init__(f"unitarity residual {residual:.3e} exceeds {DRIFT_TOL:g} at power n={n}")
-        self.n = n
-        self.residual = residual
+        super().__init__(n, residual)
+        self.n, self.residual = n, residual
+
+    def __str__(self) -> str:
+        return f"unitarity residual {self.residual:.3e} exceeds {DRIFT_TOL:g} at power n={self.n}"
+
+
+def check_phase(name: str, value: float, per_unit: float, phase: str) -> None:
+    """Fail unless `value` and its largest phase |value| * per_unit, named `phase`, are finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value:g}")
+    if not math.isfinite(abs(value) * per_unit):
+        raise ValueError(f"{name}={value:g} overflows the largest {phase}")
 
 
 @dataclass(frozen=True)
@@ -79,16 +89,10 @@ class KickedTopParams:
         SpinSystem.from_j(self.j2)
         if self.j1 > self.j2:  # the Schmidt analysis takes dim1 <= dim2
             raise ValueError(f"j1 <= j2 required, got j1={self.j1:g}, j2={self.j2:g}")
-        largest = {  # name -> (largest phase per unit of it, that phase)
-            "k1": (self.j1 / 2, "torsion phase |k1| j1 / 2"),
-            "k2": (self.j2 / 2, "torsion phase |k2| j2 / 2"),
-            "epsilon": (math.sqrt(self.j1 * self.j2), "coupling phase |epsilon| sqrt(j1 j2)"),
-        }
-        for name, (per_unit, phase) in largest.items():
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value:g}")
-            if not math.isfinite(abs(value) * per_unit):
-                raise ValueError(f"{name}={value:g} overflows the largest {phase}")
+        check_phase("k1", self.k1, self.j1 / 2, "torsion phase |k1| j1 / 2")
+        check_phase("k2", self.k2, self.j2 / 2, "torsion phase |k2| j2 / 2")
+        check_phase("epsilon", self.epsilon, math.sqrt(self.j1 * self.j2),
+                    "coupling phase |epsilon| sqrt(j1 j2)")
 
     @property
     def top1(self) -> SpinSystem:
@@ -252,8 +256,8 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     u, l1, l2 = parity_floquet(params)
     stack, off = parity_stack(u, l1, l2)
     if not off <= DRIFT_TOL:
-        raise ValueError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): "
-                         f"off-block residual {off:.3e} exceeds {DRIFT_TOL:g}")
+        raise RuntimeError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): off-block "
+                           f"residual {off:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
     _check_symmetric(u, "U_T in the parity basis")
     del u  # the stream needs only the stack; this keeps peak memory down
     gather = parity_gather(l1, l2)

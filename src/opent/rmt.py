@@ -59,7 +59,7 @@ class LaguerreLaw:
         return cls(n_small=n_small, q=(m_big / n_small) ** 2)
 
 
-def laguerre_density(law: LaguerreLaw, lam) -> np.ndarray | float:
+def laguerre_density(law: LaguerreLaw, lam) -> np.ndarray:
     """Eigenvalue density f at lam; zero outside the support."""
     import numpy as np
 
@@ -75,7 +75,7 @@ def laguerre_density(law: LaguerreLaw, lam) -> np.ndarray | float:
         * np.sqrt((law.lambda_max - x) * (x - law.lambda_min))
         / x
     )
-    return out if out.ndim else float(out)
+    return out
 
 
 def _moment(law: LaguerreLaw, g_over_x) -> float:

@@ -361,7 +361,7 @@ def test_sweep_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in out.iterdir()) == [
         "sweep_k1_eps0.5.csv", "sweep_k1_eps0.csv", "sweep_k6_eps0.csv"]
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith(f"error: sweep point k=6 eps=0.5: {type(failure).__name__}")
+    assert err[0].startswith(f"error: sweep point k6_eps0.5: {type(failure).__name__}")
     assert err[1] == "error: RuntimeError: 1 of 4 sweep points failed"
 
 
@@ -384,7 +384,7 @@ def test_spectrum_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, 
         "eigenvalues_j2_1.txt", "eigenvalues_j2_2.txt", "histogram_j2_1.csv", "histogram_j2_2.csv"]
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert err[0].startswith(f"error: spectrum point j2=1.5: {type(failure).__name__}: ")
+    assert err[0].startswith(f"error: spectrum point j2_1.5: {type(failure).__name__}: ")
     assert err[-1] == "error: RuntimeError: 1 of 3 spectrum points failed"
     assert [line.split()[0] for line in captured.out.splitlines()] == ["j2=1", "j2=2"]
 

@@ -1,3 +1,8 @@
+import importlib
+import inspect
+import pickle
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from opent import (
     power_sequence,
     product_rotation,
 )
+import opent
 from opent import kickedtop
 from opent.kickedtop import DRIFT_TOL, kick_phases, parity_floquet
 from opent.linalg import hs_inner, kron, unitarity_residual
@@ -208,7 +214,7 @@ def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
     kick = w.conj().T @ product_rotation(p.top1, p.top2, 0.7) @ w  # R maps it to exp(+i p Jz)
     for bad in (u @ kick, np.full_like(u, np.nan)):
         monkeypatch.setattr(kickedtop, "parity_floquet", lambda params: (bad, l1, l2))
-        with pytest.raises(ValueError, match="breaks the parity"):
+        with pytest.raises(RuntimeError, match="breaks the parity"):
             next(kickedtop.kicked_spectra(p, range(1, 3)))
 
 
@@ -324,6 +330,23 @@ def test_power_sequence_drift_aborts_at_the_first_strided_sample():
         with pytest.raises(UnitarityDriftError, match="residual") as info:
             list(power_sequence(drifting, range(4, 13, 4)))
         assert info.value.n == 4
+
+
+# one instance of each exception class that the package defines
+EXCEPTIONS = {UnitarityDriftError: UnitarityDriftError(5, 1e-6)}
+
+
+def test_every_package_exception_survives_a_pickle_round_trip():
+    defined = set()
+    for info in pkgutil.iter_modules(opent.__path__):
+        module = importlib.import_module(f"opent.{info.name}")
+        defined |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(cls, BaseException) and cls.__module__ == module.__name__}
+    assert defined == set(EXCEPTIONS)
+    assert str(EXCEPTIONS[UnitarityDriftError]) == "unitarity residual 1.000e-06 exceeds 1e-08 at power n=5"
+    for exc in EXCEPTIONS.values():
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc) and vars(back) == vars(exc)
 
 
 def test_diagonal_coupling_eigenvalues():
