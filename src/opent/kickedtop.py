@@ -16,20 +16,20 @@ m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
 and the precession about y unchanged. In the local Jy eigenbases
 (`spin.parity_basis`, a real orthogonal matrix times a diagonal phase) R
 is diagonal, so U_T splits into two parity blocks. `parity_floquet` builds
-U_T there with no D x D product, and splits each precession's column phase
-exp(-i pi m / 2) into exp(-i pi m / 4) on both sides, so the operator it
-returns is symmetric: the top's generalized time-reversal symmetry. That
-local-unitary conjugate has the Schmidt spectra of U_T in every power.
-`power_sequence` powers such blocks side by side over a range of exponents.
-It measures unitarity with a Gram product only at the step, the first and
-the last power, and wherever a worst-case rounding bound carried from one
-product to the next would pass DRIFT_TOL; every other power is certified by
-that bound.
+them straight into a padded stack, with no D x D operator, splitting each
+precession's column phase exp(-i pi m / 2) into exp(-i pi m / 4) on both
+sides so that the operator is symmetric (the top's generalized time-reversal
+symmetry); that local-unitary conjugate has the Schmidt spectra of U_T in
+every power. `power_sequence` powers such blocks side by side over a range
+of exponents. It measures unitarity with a Gram product only at the step,
+the first and the last power, and wherever a worst-case rounding bound
+carried from one product to the next would pass DRIFT_TOL; every other
+power is certified by that bound.
 
-`kicked_spectra`, the one stream of operator Schmidt spectra of U_T^n that
-the `sweep` and `spectrum` commands share, powers those blocks and takes
-each spectrum from the four realigned flip blocks of each power without
-forming a D x D power; local unitaries do not change the spectrum.
+`kicked_spectra`, the one stream of Schmidt spectra of U_T^n shared by the
+`sweep` and `spectrum` commands, powers that stack, holding only the step and
+the running power between products, and takes each spectrum (which local
+unitaries do not change) from the four realigned flip blocks of each power.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import kron, unitarity_residual
-from .schmidt import BipartitionDims, SchmidtSpectrum, parity_gather, parity_stack, schmidt_spectrum
+from .schmidt import BipartitionDims, SchmidtSpectrum, band_stack, parity_gather, schmidt_spectrum
 from .spin import SpinSystem, parity_basis
 
 # Abort threshold for unitarity drift of the powers.
@@ -140,8 +140,8 @@ def floquet(p: KickedTopParams) -> np.ndarray:
     return kick_phases(p).reshape(-1, 1) * kron(precession(p.top1), precession(p.top2))
 
 
-def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V = D^(1/2) (W^dag U_T W) D^(-1/2) in the parity basis W = w1 x w2, and the labels l1, l2.
+def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """`schmidt.band_stack` of V = D^(1/2) (W^dag U_T W) D^(-1/2) in W = w1 x w2, and l1, l2.
 
     (w_i, l_i) = `spin.parity_basis(top i)`. There exp(-i (pi/2) Jy) is the
     column phase D = exp(-i pi m / 2), so W^dag U_T W = (W^dag G W) D with
@@ -151,16 +151,14 @@ def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     conjugate of W^dag U_T W, so every power has the same Schmidt spectrum.
     With h = exp(-i pi m / 4) the entry ((a, c), (b, d)) is
     sum_xy h1[a] conj(w1[x,a]) w1[x,b] h1[b] g[x,y] h2[c] conj(w2[y,c]) w2[y,d] h2[d]:
-    one N x N x M contraction and one (N^2 x M)(M x M^2) product.
+    an N^2 x M factor from one N x N x M contraction, times an M x M^2 one.
     """
     s1, s2 = p.top1, p.top2
     (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
     def pairs(s, w):  # h[a] conj(w[x, a]) w[x, b] h[b] as an (x, (a, b)) matrix
         h = np.exp(-0.25j * math.pi * s.m_values())
         return ((w.conj() * h)[:, :, None] * (w * h)[:, None, :]).reshape(s.dim, s.dim**2)
-    x = (pairs(s1, w1).T @ kick_phases(p)) @ pairs(s2, w2)  # rows (a, b), columns (c, d)
-    n, m = s1.dim, s2.dim
-    return x.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m), l1, l2
+    return (*band_stack(pairs(s1, w1).T @ kick_phases(p), pairs(s2, w2), l1, l2), l1, l2)
 
 
 class PowerSample(NamedTuple):
@@ -197,7 +195,8 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     exceeds DRIFT_TOL raises UnitarityDriftError. The yielded residual is
     that max-norm bound at a measured power and the carried bound e
     otherwise, so it is at least max |E| and at most DRIFT_TOL. The yielded
-    matrix is a read-only view of the stream's running power. An empty
+    matrix is a read-only view of the running power, dropped before the next
+    product, as `u` is once the step and the first power exist. An empty
     range yields nothing.
     """
     if ns.start < 1 or ns.step < 1:
@@ -212,7 +211,9 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
 
     step = np.linalg.matrix_power(u, ns.step)
     first, rest = divmod(ns.start, ns.step)
-    acc = np.linalg.matrix_power(step, first) if rest == 0 else np.linalg.matrix_power(u, ns.start)
+    u = step if rest == 0 else u  # so u goes before a first power made from the step
+    acc = np.linalg.matrix_power(u, first if rest == 0 else ns.start)
+    del u
     step_residual = measured(step) if len(ns) > 1 else math.nan
     f = h * step_residual
     residual = step_residual if ns.start == ns.step else math.nan  # the first power is S itself
@@ -226,14 +227,12 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
             if not residual <= DRIFT_TOL:
                 raise UnitarityDriftError(n, residual)
             bound = h * residual
-        power = acc.view()  # acc may be u itself, which stays the caller's to write
-        power.flags.writeable = False
-        yield PowerSample(n, power, residual)
+        yield PowerSample(n, np.broadcast_to(acc, acc.shape), residual)  # read-only: acc may be u
 
 
 def _check_symmetric(u: np.ndarray, where: str) -> None:
-    """Fail unless max |u - u^T| over a matrix or a stack is at most DRIFT_TOL (nan fails)."""
-    defect = float(np.abs(u - np.swapaxes(u, -1, -2)).max())
+    """Fail unless max |u - u^T| over a matrix or a stack (per layer) is at most DRIFT_TOL (nan fails)."""
+    defect = float(np.max([np.abs(a - a.T).max() for a in u.reshape(-1, *u.shape[-2:])]))
     if not defect <= DRIFT_TOL:
         raise RuntimeError(f"transpose defect {defect:.3e} exceeds {DRIFT_TOL:g} at {where}")
 
@@ -241,28 +240,27 @@ def _check_symmetric(u: np.ndarray, where: str) -> None:
 def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, SchmidtSpectrum]]:
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in the range `ns`.
 
-    U_T is built as the symmetric V of `parity_floquet`, a local-unitary
-    conjugate in the parity basis W1 x W2, where `parity_stack` cuts its two
-    parity blocks into a padded stack; its entries off them must be at most
-    DRIFT_TOL, and so must max |V - V^T|. `power_sequence` powers the stack
-    over `ns`, one product per sample, and certifies its unitarity (a Gram
-    product at the step, the first and the last power, a rounding bound in
-    between); each power must stay symmetric to DRIFT_TOL. The four
-    realigned flip blocks of each power are gathered straight from the
-    powered stack through an index map built once (`parity_gather`), so no
-    D x D power is formed. Each spectrum must meet the sum rule.
+    U_T is built as the parity stack of the symmetric V of `parity_floquet`,
+    a local-unitary conjugate; V's entries off its parity blocks must be at
+    most DRIFT_TOL, and so must max |V - V^T|. `power_sequence` powers the
+    stack over `ns`, one product per sample, and certifies its unitarity;
+    each power must stay symmetric to DRIFT_TOL. The four realigned flip
+    blocks of each power are gathered from the stack through an index map
+    built once (`parity_gather`), and no power outlives its spectrum, which
+    must meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    u, l1, l2 = parity_floquet(params)
-    stack, off = parity_stack(u, l1, l2)
+    stack, off, l1, l2 = parity_floquet(params)
     if not off <= DRIFT_TOL:
         raise RuntimeError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): off-block "
                            f"residual {off:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
-    _check_symmetric(u, "U_T in the parity basis")
-    del u  # the stream needs only the stack; this keeps peak memory down
+    _check_symmetric(stack, "U_T in the parity basis")
     gather = parity_gather(l1, l2)
-    for sample in power_sequence(stack, ns):
-        _check_symmetric(sample.matrix, f"power n={sample.n}")
-        spec = schmidt_spectrum(sample.matrix, dims, gather)
-        spec.check_sum_rule(f"power n={sample.n}")
-        yield sample.n, spec
+    samples = power_sequence(stack, ns)
+    del stack  # power_sequence drops it once it holds the step and the first power
+    for n, power, _ in samples:
+        _check_symmetric(power, f"power n={n}")
+        spec = schmidt_spectrum(power, dims, gather)
+        del power  # hold no power through the next product
+        spec.check_sum_rule(f"power n={n}")
+        yield n, spec

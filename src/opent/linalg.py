@@ -68,12 +68,13 @@ def unitarity_residual(u) -> float:
 
     A drift monitor for repeated products, one Gram product per call;
     `kickedtop.power_sequence` calls it only where its rounding bound cannot
-    certify a power. 1 is taken off the Gram diagonal in place.
+    certify a power. A stack goes one layer at a time; np.max keeps a nan in any layer.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected a square matrix, got {u.shape}")
-    g = u.conj().swapaxes(-1, -2) @ u
-    np.einsum("...ii->...i", g)[...] -= 1  # the diagonal, a writeable view of g
-    return float(np.abs(g).max())
-
+    def defect(a: np.ndarray) -> float:
+        g = a.conj().T @ a
+        np.einsum("ii->i", g)[...] -= 1  # takes 1 off the diagonal (a writeable view) in place
+        return np.abs(g).max()
+    return float(np.max([defect(a) for a in u.reshape(-1, *u.shape[-2:])]))

@@ -16,13 +16,12 @@ itself, so the realigned blocks are a fixed index map of u's two parity
 blocks. If u is also symmetric, u = u^T, then X[(a,b),(c,d')] =
 X[(b,a),(d',c)], and each realigned parity block splits once more into a
 flip-even block (pairs a <= b, c <= d') and a flip-odd block (a < b,
-c < d'), each half its size. `parity_stack` cuts u's blocks into a padded
-(2, h, h) stack and `parity_gather` builds the maps of the four flip blocks
-once; `schmidt_spectrum` then takes each flip block from the stack with one
-`np.take` of two indices per entry and its singular values, about a
-sixteenth of the work of one SVD, and never forms or realigns the full
-operator. Local unitaries leave the spectrum unchanged, so an operator may
-be moved into such a basis first.
+c < d'), each half its size. `band_stack` builds u's blocks into a padded
+(2, h, h) stack from a factored realigned matrix, one row band at a time,
+and `parity_gather` maps the four flip blocks once; `schmidt_spectrum` takes
+each from the stack with one `np.take` of two indices per entry and its
+singular values, a sixteenth of the work of one SVD, never forming the full
+operator. Local unitaries may first move an operator into such a basis.
 
 A diagonal operator U = diag(phi) may be passed as the vector phi of its
 n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
@@ -110,28 +109,37 @@ def realign(u, d: BipartitionDims) -> np.ndarray:
     return u.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
-def _parity_layout(l1, l2) -> tuple[np.ndarray, int]:
-    """Mask r = outer(l1, l2) > 0 over u's rows, and the layer size h of the stack."""
-    r = np.outer(l1, l2).ravel() > 0
-    return r, max(np.count_nonzero(r), np.count_nonzero(~r))
+def _parity_layout(l1, l2):
+    """(flat, h) of the padded (2, h, h) parity stack of a u that commutes with diag(l1) x diag(l2).
 
-
-def parity_stack(u, l1, l2) -> tuple[np.ndarray, float]:
-    """The padded stack of u's two parity blocks, and the largest |entry| off them.
-
-    For a u that commutes with diag(l1) x diag(l2), let r = outer(l1, l2) > 0
-    over u's rows. The stack has shape (2, h, h) with h = max(|r|, |~r|):
-    layer 0 holds u[r][:, r] and layer 1 holds u[~r][:, ~r], each in its
-    top-left corner, and the smaller one is padded by a 1 on the diagonal,
-    so a stack of unitaries stays unitary.
+    With r = outer(l1, l2) > 0 over u's rows, layer 0 holds u[r][:, r] and layer 1 u[~r][:, ~r],
+    each top-left; the smaller is padded by 1s on the diagonal, so a stack of unitaries stays
+    unitary. flat(a, b, c, d) is the stack index of u[(a, c), (b, d)], l1[a] l1[b] = l2[c] l2[d].
     """
-    u = as_matrix(u)
-    r, h = _parity_layout(l1, l2)
-    stack = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy()
-    for layer, mask in zip(stack, (r, ~r)):
-        size = np.count_nonzero(mask)
-        layer[:size, :size] = u[np.ix_(mask, mask)]
-    return stack, float(np.abs(u[r[:, None] != r]).max())
+    r = np.outer(l1, l2) > 0
+    h = max(np.count_nonzero(r), np.count_nonzero(~r))
+    place = np.where(r, np.cumsum(r).reshape(r.shape), np.cumsum(~r).reshape(r.shape)) - 1
+    start = np.where(r, 0, h * h) + place * h  # stack index of row (a, c)'s first entry
+    return (lambda a, b, c, d: start[a[:, None], c] + place[b[:, None], d]), h
+
+
+def band_stack(left, right, l1, l2) -> tuple[np.ndarray, float]:
+    """The parity stack (`_parity_layout`) of u from x = left @ right, and max |u| off its blocks.
+
+    x[(a, b), (c, d)] = u[(a, c), (b, d)] is u realigned. Each row parity l1[a] l1[b] takes one
+    row band left[rows] @ right, so neither x nor u is formed whole: the columns with l2[c] l2[d]
+    of that parity go into the stack, the others only into a band maximum; np.max keeps a nan.
+    """
+    flat, h = _parity_layout(l1, l2)
+    stack, off = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy(), []
+    for parity in (1, -1):
+        (a, b), (c, d) = (np.nonzero(np.outer(labels, labels) == parity) for labels in (l1, l2))
+        inside, index = (np.outer(l2, l2) == parity).ravel(), flat(a, b, c, d)
+        band = left[a * len(l1) + b] @ right
+        np.put(stack, index, band[:, inside])
+        off.append(np.abs(band[:, ~inside]).max())
+        del index, band  # so that two bands never coexist
+    return stack, float(np.max(off))
 
 
 class FlipBlock(NamedTuple):
@@ -143,7 +151,7 @@ class FlipBlock(NamedTuple):
 
 
 def parity_gather(l1, l2) -> tuple[FlipBlock, ...]:
-    """The four realigned blocks of a symmetric operator's `parity_stack`.
+    """The four realigned blocks of a symmetric operator's parity stack (`_parity_layout`).
 
     Row (a, b) and column (c, d') of the realigned matrix x meet in the
     first parity block where l1[a] l1[b] = l2[c] l2[d'] = 1 and in the
@@ -157,14 +165,7 @@ def parity_gather(l1, l2) -> tuple[FlipBlock, ...]:
     (e_ab - e_ba) / sqrt(2) (a < b), with entries x[ab, cd] - x[ab, dc].
     The stack's padding is never read.
     """
-    n, m = len(l1), len(l2)
-    r, h = _parity_layout(l1, l2)
-    layer = np.where(r, 0, h * h)
-    place = np.where(r, np.cumsum(r), np.cumsum(~r)) - 1  # row or column within the layer
-
-    def flat(a, b, c, d):  # stack index of u[(a, c), (b, d)] over rows (a, b), columns (c, d)
-        p, q = a[:, None] * m + c, b[:, None] * m + d
-        return layer[p] + place[p] * h + place[q]
+    flat, _ = _parity_layout(l1, l2)
 
     def pairs(labels, parity, strict):  # (a, b), a <= b (a < b if strict), l[a] l[b] = parity
         a, b = np.triu_indices(len(labels), k=int(strict))
@@ -185,13 +186,13 @@ def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
     """Squared singular values of the realigned operator, descending.
 
     `u` is a matrix; the 1-d vector of the diagonal of a diagonal operator,
-    which takes one SVD of its n x m reshape; or the `parity_stack` of a
+    which takes one SVD of its n x m reshape; or the parity stack of a
     symmetric operator that commutes with diag(l1) x diag(l2), with
     `gather = parity_gather(l1, l2)`, which takes the SVDs of the four
     realigned flip blocks. Only a stack reads `gather`. A stack holds
     nothing off the parity blocks and only the flip-symmetric part of the
     realigned blocks is read, so checking both symmetries is left to the
-    caller (`parity_stack` returns the off-block residual).
+    caller (`band_stack` returns the off-block residual).
     """
     if np.ndim(u) == 1:
         if len(u) != d.total:
@@ -209,7 +210,7 @@ def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
 
 
 def flip_block(stack: np.ndarray, block: FlipBlock) -> np.ndarray:
-    """One realigned flip block of a `parity_stack`, gathered as `block` (from `parity_gather`) says."""
+    """One realigned flip block of a parity stack, gathered as `block` (from `parity_gather`) says."""
     x, flipped = np.take(stack, block.idx)
     return block.scale * (x + block.sign * flipped)
 

@@ -32,6 +32,24 @@ def random_parity_unitary(rng: np.random.Generator, l1, l2) -> np.ndarray:
     return u
 
 
+def parity_stack(u, l1, l2) -> tuple[np.ndarray, float]:
+    """The dense oracle for a parity stack: u's two parity blocks cut from the whole u.
+
+    For a u that commutes with diag(l1) x diag(l2), let r = outer(l1, l2) > 0
+    over u's rows. The stack has shape (2, h, h) with h = max(|r|, |~r|):
+    layer 0 holds u[r][:, r] and layer 1 holds u[~r][:, ~r], each in its
+    top-left corner, and the smaller one is padded by a 1 on the diagonal.
+    Also returns the largest |entry| of u off the two blocks.
+    """
+    r = np.outer(l1, l2).ravel() > 0
+    h = max(np.count_nonzero(r), np.count_nonzero(~r))
+    stack = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy()
+    for layer, mask in zip(stack, (r, ~r)):
+        size = np.count_nonzero(mask)
+        layer[:size, :size] = u[np.ix_(mask, mask)]
+    return stack, float(np.abs(u[r[:, None] != r]).max())
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = random_complex(rng, dim, dim)
     return (a + a.conj().T) / 2

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ import opent
 from opent import kickedtop
 from opent.kickedtop import DRIFT_TOL, kick_phases, parity_floquet
 from opent.linalg import hs_inner, kron, unitarity_residual
-from opent.schmidt import parity_stack
+from opent.schmidt import band_stack, realign
 from opent.spin import jy, parity_basis
 from opent.states import product_basis_state
-from conftest import expi_hermitian, random_parity_unitary, random_unitary
+from conftest import expi_hermitian, parity_stack, random_parity_unitary, random_unitary
 
 HALF = SpinSystem(1)
 J10 = SpinSystem.from_j(10)
@@ -142,10 +143,17 @@ def test_floquet_builds_match_the_dense_factor_products(j1, j2, eps):
     (w1, l1), (w2, l2) = parity_basis(s1), parity_basis(s2)
     w = kron(w1, w2)
     half = np.kron(np.exp(-0.25j * np.pi * s1.m_values()), np.exp(-0.25j * np.pi * s2.m_values()))
-    local, got_l1, got_l2 = parity_floquet(p)
+    stack, off, got_l1, got_l2 = parity_floquet(p)
     expected = half[:, None] * (w.conj().T @ u @ w) / half  # D^(1/2) W^dag U_T W D^(-1/2)
-    np.testing.assert_allclose(local, expected, rtol=0, atol=1e-13)
-    assert np.abs(local - local.T).max() <= 1e-14
+    blocks, expected_off = parity_stack(expected, l1, l2)
+    np.testing.assert_allclose(stack, blocks, rtol=0, atol=1e-13)
+    assert off <= 1e-13 and expected_off <= 1e-13
+    assert np.abs(stack - stack.swapaxes(1, 2)).max() <= 1e-14
+    r = np.outer(l1, l2).ravel() > 0
+    for layer, size in zip(stack, (np.count_nonzero(r), np.count_nonzero(~r))):  # exact padding
+        np.testing.assert_array_equal(layer[size:, size:], np.eye(len(layer) - size))
+        np.testing.assert_array_equal(layer[size:, :size], 0)
+        np.testing.assert_array_equal(layer[:size, size:], 0)
     np.testing.assert_array_equal(got_l1, l1)
     np.testing.assert_array_equal(got_l2, l2)
 
@@ -208,22 +216,22 @@ def test_floquet_commutes_with_its_parity(j1, j2):
 
 def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
     p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
-    u, l1, l2 = parity_floquet(p)
-    (w1, _), (w2, _) = parity_basis(p.top1), parity_basis(p.top2)
-    w = kron(w1, w2)
-    kick = w.conj().T @ product_rotation(p.top1, p.top2, 0.7) @ w  # R maps it to exp(+i p Jz)
-    for bad in (u @ kick, np.full_like(u, np.nan)):
-        monkeypatch.setattr(kickedtop, "parity_floquet", lambda params: (bad, l1, l2))
-        with pytest.raises(RuntimeError, match="breaks the parity"):
+    g = kick_phases(p)
+    m1, m2 = p.top1.m_values(), p.top2.m_values()
+    odd = g * np.exp(-0.7j * np.add.outer(m1, m2))  # R maps exp(-i p (m1 + m2)) to exp(+i p (m1 + m2))
+    for bad in (odd, np.full_like(g, np.nan)):
+        monkeypatch.setattr(kickedtop, "kick_phases", lambda params: bad)
+        with pytest.raises(RuntimeError, match="breaks the parity .* at U_T in the parity basis"):
             next(kickedtop.kicked_spectra(p, range(1, 3)))
 
 
 def test_kicked_spectra_reject_an_operator_that_is_not_symmetric(monkeypatch):
     p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
-    u, l1, l2 = parity_floquet(p)
-    bad = u @ random_parity_unitary(np.random.default_rng(5), l1, l2)  # keeps the parity, not u = u^T
+    stack, off, l1, l2 = parity_floquet(p)
+    rng = np.random.default_rng(5)
+    bad = stack @ np.stack([random_unitary(rng, stack.shape[-1]) for _ in stack])  # not bad = bad^T
     assert unitarity_residual(bad) < 1e-13
-    monkeypatch.setattr(kickedtop, "parity_floquet", lambda params: (bad, l1, l2))
+    monkeypatch.setattr(kickedtop, "parity_floquet", lambda params: (bad, off, l1, l2))
     with pytest.raises(RuntimeError, match="transpose defect .* at U_T in the parity basis"):
         next(kickedtop.kicked_spectra(p, range(1, 3)))
 
@@ -251,7 +259,7 @@ def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
 
     monkeypatch.setattr(kickedtop, "unitarity_residual", counting)
     p = KickedTopParams(1, 1.5, 6.0, 3.0, 1.0)
-    stack, _ = parity_stack(*parity_floquet(p))
+    stack = parity_floquet(p)[0]
     for ns in (range(15, 28, 3), range(5, 30, 4)):  # the second starts off its step
         checked.clear()
         got = [n for n, _ in kickedtop.kicked_spectra(p, ns)]
@@ -260,6 +268,40 @@ def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
         assert len(checked) == 3
         for gram, n in zip(checked, (ns.step, ns.start, ns[-1])):
             np.testing.assert_allclose(gram, np.linalg.matrix_power(stack, n), rtol=0, atol=1e-12)
+
+
+def test_checks_fail_when_only_the_last_layer_or_band_is_nan():
+    # the per-layer and per-band maxima go through np.max; Python's max(0.0, nan) is 0.0
+    p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
+    stack, _, l1, l2 = parity_floquet(p)
+    stack[-1, -1, -1] = np.nan
+    assert np.isnan(unitarity_residual(stack))
+    with pytest.raises(UnitarityDriftError, match="residual nan"):
+        list(power_sequence(stack, range(1, 2)))
+    with pytest.raises(RuntimeError, match="transpose defect nan exceeds"):
+        kickedtop._check_symmetric(stack, "a stack")
+    b = random_parity_unitary(np.random.default_rng(3), l1, l2)
+    x = realign(b @ b.T, BipartitionDims(p.top1.dim, p.top2.dim))
+    assert band_stack(x, np.eye(x.shape[1]), l1, l2)[1] < 1e-15
+    x[(np.outer(l1, l1) < 0).ravel()] = np.nan  # the rows of the last band, row parity -1
+    assert np.isnan(band_stack(x, np.eye(x.shape[1]), l1, l2)[1])
+
+
+def test_kicked_spectra_stream_in_bounded_memory():
+    # the traced peak counts numpy's allocations, never time. The stream holds the step, the
+    # running power and the next product, plus the gather map and per-layer temporaries: about
+    # 3.7 stacks. Holding on to U_T's stack, a yielded power or power_sequence's input adds one;
+    # the dense build of U_T peaked at 6.7. The second window's first power, u^2, is off the step.
+    p = KickedTopParams(5, 7.5, 6.0, 6.0, 1.0)
+    stack_bytes = parity_floquet(p)[0].nbytes
+    for ns in (range(8, 41, 8), range(2, 35, 8)):
+        tracemalloc.start()
+        try:
+            assert [n for n, _ in kickedtop.kicked_spectra(p, ns)] == list(ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * stack_bytes, (ns, peak / stack_bytes)
 
 
 def test_power_sequence_drift_aborts():

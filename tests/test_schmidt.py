@@ -19,9 +19,10 @@ from opent import (
 )
 from opent.kickedtop import product_rotation
 from opent.linalg import hs_inner, kron
-from opent.schmidt import flip_block, parity_gather, parity_stack
+from opent.schmidt import band_stack, flip_block, parity_gather
 from opent.spin import parity_basis
-from conftest import CNOT, random_complex, random_parity_unitary, random_unitary, swap_operator
+from conftest import (CNOT, parity_stack, random_complex, random_parity_unitary, random_unitary,
+                      swap_operator)
 
 D22 = BipartitionDims(2, 2)
 
@@ -184,7 +185,7 @@ def _symmetric_parity_unitary(spins, seed):
     """b b^T for a random unitary b, block diagonal over the parity labels; its dims and labels.
 
     b b^T is unitary, symmetric and commutes with diag(l1) x diag(l2), as the
-    kicked-top operator of `kickedtop.parity_floquet` is.
+    kicked-top operator V of `kickedtop.parity_floquet` is.
     """
     s1, s2 = (SpinSystem.from_j(j) for j in spins)
     d = BipartitionDims(s1.dim, s2.dim)
@@ -206,6 +207,21 @@ def test_parity_blocks_give_the_full_spectrum(spins, seed):
     assert got.lambdas.size == d.n**2
     assert np.all(np.diff(got.lambdas) <= 0)
     np.testing.assert_allclose(got.lambdas, schmidt_spectrum(u, d).lambdas, atol=1e-12)
+
+
+@pytest.mark.parametrize("spins", [(a, b) for a in SPINS for b in SPINS if a <= b])
+def test_band_stack_matches_the_dense_parity_blocks(spins):
+    u, d, labels = _symmetric_parity_unitary(spins, 11)
+    identity = np.eye(d.m**2)
+    for v in (u, random_unitary(np.random.default_rng(13), d.total)):  # the second breaks parity
+        stack, off = band_stack(realign(v, d), identity, *labels)  # x @ I is x, bit for bit
+        expected, expected_off = parity_stack(v, *labels)
+        np.testing.assert_array_equal(stack, expected)
+        assert off == expected_off
+    q = random_unitary(np.random.default_rng(12), d.m**2)
+    stack, off = band_stack(realign(u, d) @ q, q.conj().T, *labels)
+    np.testing.assert_allclose(stack, parity_stack(u, *labels)[0], rtol=0, atol=1e-13)
+    assert off < 1e-13
 
 
 def _flip_basis(labels, parity, sign):
