@@ -10,7 +10,7 @@ import importlib
 _EXPORTS = {
     "linalg": ("kron",),
     "kickedtop": ("KickedTopParams", "UnitarityDriftError", "diagonal_coupling", "floquet",
-                  "power_sequence", "product_rotation"),
+                  "product_rotation"),
     "rmt": ("LaguerreLaw", "fit_distance", "histogram", "laguerre_bounds", "laguerre_density",
             "saturation_estimate"),
     "schmidt": ("BipartitionDims", "SchmidtSpectrum", "operator_entanglement", "realign",

@@ -20,7 +20,9 @@ key is an error. `sweep` and `spectrum` run their grid points through one
 driver, `_run_points`, on a pool of OPENT_WORKERS processes capped by the
 point count and the usable CPUs, with one failure policy (see there). A
 point's stem (`k6_eps0.5`, `j2_1.5`) names its task, files and failure line.
-Outputs are written atomically and are byte-identical for any worker count.
+Outputs are written atomically, each file a run will replace is named on
+stderr before the pool starts, and outputs are byte-identical for any worker
+count at a fixed BLAS thread count.
 
 At module level this file imports only the standard library, so that the
 `opent` entry point starts without numpy. Each subcommand imports the
@@ -58,11 +60,16 @@ def default_to_one_blas_thread() -> None:
         os.environ[var] = "1"
 
 
-def _sweep_stem(k: float, eps: float) -> str:  # sweep_<stem>.csv
+# The files that one grid point writes, named by its stem.
+SWEEP_FILES = ("sweep_{}.csv",)
+SPECTRUM_FILES = ("eigenvalues_{}.txt", "histogram_{}.csv")
+
+
+def _sweep_stem(k: float, eps: float) -> str:
     return f"k{k:g}_eps{eps:g}"
 
 
-def _spectrum_stem(j2: float) -> str:  # eigenvalues_<stem>.txt and histogram_<stem>.csv
+def _spectrum_stem(j2: float) -> str:
     return f"j2_{j2:g}"
 
 
@@ -94,7 +101,7 @@ class SweepConfig:
         grid = [(k, eps) for k in self.k_values for eps in self.eps_values]
         for k, eps in grid:
             KickedTopParams(self.j1, self.j2, k, k, eps)
-        _reject_repeats(f"sweep_{_sweep_stem(k, eps)}.csv" for k, eps in grid)
+        _reject_repeats(SWEEP_FILES[0].format(_sweep_stem(k, eps)) for k, eps in grid)
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,7 @@ class SpectrumConfig:
             raise ValueError("j2 list must be non-empty")
         for j2 in self.j2_values:
             KickedTopParams(self.j1, j2, self.k, self.k, self.eps)
-        _reject_repeats(f"eigenvalues_{_spectrum_stem(j2)}.txt" for j2 in self.j2_values)
+        _reject_repeats(SPECTRUM_FILES[0].format(_spectrum_stem(j2)) for j2 in self.j2_values)
 
 
 def _fmt(x: float) -> str:
@@ -175,18 +182,24 @@ def _attempt(point, task):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _run_points(kind: str, point, tasks: dict, out: Path, cost=lambda task: 0,
+def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda task: 0,
                 report=lambda result: None) -> list:
     """Run `point` on each task of {point name: task} on the pool; return the results in task order.
 
-    The pool is sized before the output directory is made, and the costliest
-    tasks start first, so that the longest one does not start last. Results
-    go to `report` in task order. A failed point is reported on stderr as one
-    line that names it and the rest of the grid still runs; then this raises.
+    The pool is sized, and each file under `out` that a point will replace
+    (`files`, formatted with its name) is named on stderr, before the output
+    directory is made (a point that then fails keeps its old files). The
+    costliest tasks start first, so that the longest one does not start
+    last. Results go to `report` in task order. A failed point is reported
+    on stderr as one line that names it and the rest of the grid still
+    runs; then this raises.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     workers = _worker_count(len(tasks))
+    for path in (Path(out) / file.format(name) for name in tasks for file in files):
+        if path.exists():
+            print(f"note: will replace {path}", file=sys.stderr)
     Path(out).mkdir(parents=True, exist_ok=True)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {name: pool.submit(_attempt, point, tasks[name])
@@ -207,7 +220,7 @@ def _try_sweep_point(args) -> Path:
     """Write one sweep CSV and return its path."""
     cfg, k, eps = args
     rows = sweep_point(cfg.j1, cfg.j2, k, eps, cfg.n_max, cfg.sample_stride)
-    path = Path(cfg.output_dir) / f"sweep_{_sweep_stem(k, eps)}.csv"
+    path = Path(cfg.output_dir) / SWEEP_FILES[0].format(_sweep_stem(k, eps))
     _atomic_write(path, ["n,S_V,S_L", *map(_row, rows)])
     return path
 
@@ -217,7 +230,7 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     from . import kickedtop, schmidt  # noqa: F401  what the workers run, loaded before they fork
 
     tasks = {_sweep_stem(k, eps): (cfg, k, eps) for k in cfg.k_values for eps in cfg.eps_values}
-    return _run_points("sweep", _try_sweep_point, tasks, cfg.output_dir)
+    return _run_points("sweep", _try_sweep_point, tasks, cfg.output_dir, SWEEP_FILES)
 
 
 def _run_spectrum_point(args):
@@ -237,7 +250,7 @@ def _run_spectrum_point(args):
     n_steps = eigs.size // n_dim**2
 
     out, stem = Path(cfg.output_dir), _spectrum_stem(j2)
-    eig_path = out / f"eigenvalues_{stem}.txt"
+    eig_path, hist_path = (out / name.format(stem) for name in SPECTRUM_FILES)
     header = [f"# N={n_dim} M={m_dim} Q={law.q:.12g}",
               f"# k={cfg.k:g} eps={cfg.eps:g} window={cfg.saturation_window} steps={n_steps}"]
     _atomic_write(eig_path, [*header, *map(_fmt, eigs)])
@@ -247,7 +260,6 @@ def _run_spectrum_point(args):
     # per-time-step density, comparable with the law's total mass N^2
     heights = h.heights / n_steps
     predicted = laguerre_density(law, h.centers)
-    hist_path = out / f"histogram_{stem}.csv"
     _atomic_write(hist_path, ["bin_left,bin_right,empirical_density,laguerre_density",
                               *map(_row, zip(h.bin_edges[:-1], h.bin_edges[1:], heights, predicted))])
 
@@ -266,7 +278,7 @@ def run_spectrum(cfg: SpectrumConfig) -> list[tuple[Path, Path, str, float]]:
     from . import kickedtop, rmt  # noqa: F401  what the workers run, loaded before they fork
 
     tasks = {_spectrum_stem(j2): (cfg, j2) for j2 in cfg.j2_values}
-    return _run_points("spectrum", _run_spectrum_point, tasks, cfg.output_dir,
+    return _run_points("spectrum", _run_spectrum_point, tasks, cfg.output_dir, SPECTRUM_FILES,
                        cost=lambda task: task[1], report=lambda result: print(result[2]))
 
 

@@ -13,23 +13,16 @@ of the Jz x Jz couplings and of the product rotation;
 
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
-and the precession about y unchanged. In the local Jy eigenbases
-(`spin.parity_basis`, a real orthogonal matrix times a diagonal phase) R
-is diagonal, so U_T splits into two parity blocks. `parity_floquet` builds
-them straight into a padded stack, with no D x D operator, splitting each
-precession's column phase exp(-i pi m / 2) into exp(-i pi m / 4) on both
-sides so that the operator is symmetric (the top's generalized time-reversal
-symmetry); that local-unitary conjugate has the Schmidt spectra of U_T in
-every power. `power_sequence` powers such blocks side by side over a range
-of exponents. It measures unitarity with a Gram product only at the step,
-the first and the last power, and wherever a worst-case rounding bound
-carried from one product to the next would pass DRIFT_TOL; every other
-power is certified by that bound.
-
+and the precession about y unchanged. In the local Jy eigenbases R is
+diagonal, so U_T splits into two parity blocks: `parity_floquet` builds a
+symmetric local-unitary conjugate of U_T, which has its Schmidt spectra in
+every power, straight into a padded stack of them. `power_sequence` powers
+such a stack over a range of exponents, each product in place, and certifies
+each power's unitarity by a rounding bound or a Gram product.
 `kicked_spectra`, the one stream of Schmidt spectra of U_T^n shared by the
-`sweep` and `spectrum` commands, powers that stack, holding only the step and
-the running power between products, and takes each spectrum (which local
-unitaries do not change) from the four realigned flip blocks of each power.
+`sweep` and `spectrum` commands, takes each from the four realigned flip
+blocks of each power; with its build, a call holds under three stacks when
+its window starts on its step.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import kron, unitarity_residual
+from .linalg import kron, row_bands, unitarity_residual
 from .schmidt import BipartitionDims, SchmidtSpectrum, band_stack, parity_gather, schmidt_spectrum
 from .spin import SpinSystem, parity_basis
 
@@ -167,13 +160,47 @@ class PowerSample(NamedTuple):
     residual: float  # a certified upper bound on max |matrix^dag matrix - I|
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b written over `out`, a or b, one layer at a time (numpy copies each overlapping layer)."""
+    for layer in np.ndindex(a.shape[:-2]):
+        np.matmul(a[layer], b[layer], out=out[layer])  # one gemm per layer, as a @ b takes
+    return out
+
+
+def _power(held: list, n: int) -> np.ndarray:
+    """u^n (n >= 1) as a new array, u = held.pop(), by np.linalg.matrix_power's products in its order.
+
+    So the bits are matrix_power's. u is never written, and goes after its last use: taken out of
+    `held`, it has no reference left in a caller that kept none. Each product is written over an
+    operand that no later product needs, where there is one.
+    """
+    u = held.pop()
+    if n <= 3:  # matrix_power's shortcuts u, u u and (u u) u
+        return u.copy() if n == 1 else u @ u if n == 2 else _product(uu := u @ u, u, uu)
+    z, result = u, None
+    while True:  # matrix_power's loop: z = u^(2^i), the bits of n from the least significant
+        n, bit = divmod(n, 2)
+        if bit and result is None:
+            result = z
+        elif bit and result is u:  # u stays as it is: over z, unless a later square needs it
+            result = _product(u, z, z) if n == 0 else u @ z
+        elif bit:
+            result = _product(result, z, result)
+        if n == 0:
+            return result
+        z = z @ z if z is u or z is result else _product(z, z, z)
+        if u is not z and u is not result:
+            u = None  # past its last use
+
+
 def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     """Yield (n, u^n, certified unitarity residual) for each n in the range `ns`.
 
     `u` is a matrix or a stack (..., h, h) of matrices powered side by side.
-    The first power and the step S = u^(ns.step) are formed by repeated
-    squaring, the first as a power of the step when the step divides the
-    start; then each sample takes one product by the step.
+    The first power and the step S = u^(ns.step) are formed by `_power`, the
+    first as a power of the step when the step divides the start; then each
+    sample takes one product by the step, written over the running power.
+    `u` is never written, and is let go once S exists.
 
     Unitarity is measured by a Gram product (`unitarity_residual`) only
     where a rounding bound cannot vouch for it. Write E(A) = A^dag A - I,
@@ -195,44 +222,44 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     exceeds DRIFT_TOL raises UnitarityDriftError. The yielded residual is
     that max-norm bound at a measured power and the carried bound e
     otherwise, so it is at least max |E| and at most DRIFT_TOL. The yielded
-    matrix is a read-only view of the running power, dropped before the next
-    product, as `u` is once the step and the first power exist. An empty
-    range yields nothing.
+    matrix is a read-only view of the running power, which the next product
+    overwrites: a caller that keeps a sample must copy it. An empty range
+    yields nothing.
     """
     if ns.start < 1 or ns.step < 1:
         raise ValueError(f"need a start and step of at least 1, got {ns}")
-    u = np.asarray(u, dtype=np.complex128)
-    h = u.shape[-1]
+    held, u = [np.asarray(u, dtype=np.complex128)], None  # `_power` takes u out for the step
+    h = held[0].shape[-1]
     g = math.sqrt(2) * (h + 2) * UNIT_ROUNDOFF / (1 - (h + 2) * UNIT_ROUNDOFF)
     rounding = 2 * g * h + (g * h) ** 2
 
     def measured(a: np.ndarray) -> float:  # a bound on max |E(a)| from the computed Gram
         return (unitarity_residual(a) + g) / (1 - g)
 
-    step = np.linalg.matrix_power(u, ns.step)
     first, rest = divmod(ns.start, ns.step)
-    u = step if rest == 0 else u  # so u goes before a first power made from the step
-    acc = np.linalg.matrix_power(u, first if rest == 0 else ns.start)
-    del u
+    acc = _power(held[:], ns.start) if rest else None  # off the step: made while u is held
+    step = _power(held, ns.step)
+    acc = _power([step], first) if acc is None else acc
     step_residual = measured(step) if len(ns) > 1 else math.nan
     f = h * step_residual
     residual = step_residual if ns.start == ns.step else math.nan  # the first power is S itself
     bound = h * residual
     for n in ns:
         if n > ns.start:
-            acc = acc @ step
+            acc = _product(acc, step, acc)
             bound = residual = (1 + f) * bound + f + rounding * (1 + bound) * (1 + f)
         if not residual <= DRIFT_TOL or n == ns[-1]:
             residual = measured(acc)
             if not residual <= DRIFT_TOL:
                 raise UnitarityDriftError(n, residual)
             bound = h * residual
-        yield PowerSample(n, np.broadcast_to(acc, acc.shape), residual)  # read-only: acc may be u
+        yield PowerSample(n, np.broadcast_to(acc, acc.shape), residual)  # read-only
 
 
 def _check_symmetric(u: np.ndarray, where: str) -> None:
-    """Fail unless max |u - u^T| over a matrix or a stack (per layer) is at most DRIFT_TOL (nan fails)."""
-    defect = float(np.max([np.abs(a - a.T).max() for a in u.reshape(-1, *u.shape[-2:])]))
+    """Fail unless max |u - u^T| over a matrix or stack, by row bands, is at most DRIFT_TOL (not nan)."""
+    defect = float(np.max([np.abs(a[rows] - a[:, rows].T).max()
+                           for a in u.reshape(-1, *u.shape[-2:]) for rows in row_bands(len(a))]))
     if not defect <= DRIFT_TOL:
         raise RuntimeError(f"transpose defect {defect:.3e} exceeds {DRIFT_TOL:g} at {where}")
 
@@ -245,9 +272,8 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     most DRIFT_TOL, and so must max |V - V^T|. `power_sequence` powers the
     stack over `ns`, one product per sample, and certifies its unitarity;
     each power must stay symmetric to DRIFT_TOL. The four realigned flip
-    blocks of each power are gathered from the stack through an index map
-    built once (`parity_gather`), and no power outlives its spectrum, which
-    must meet the sum rule.
+    blocks of each power are copied from strided views of the stack
+    (`parity_gather`), and each spectrum must meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     stack, off, l1, l2 = parity_floquet(params)
@@ -257,10 +283,9 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     _check_symmetric(stack, "U_T in the parity basis")
     gather = parity_gather(l1, l2)
     samples = power_sequence(stack, ns)
-    del stack  # power_sequence drops it once it holds the step and the first power
+    del stack  # power_sequence drops it once the step exists
     for n, power, _ in samples:
         _check_symmetric(power, f"power n={n}")
         spec = schmidt_spectrum(power, dims, gather)
-        del power  # hold no power through the next product
         spec.check_sum_rule(f"power n={n}")
         yield n, spec

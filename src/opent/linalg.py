@@ -12,6 +12,8 @@ import numpy as np
 
 # Hermiticity check threshold, relative to the largest entry magnitude.
 HERMITICITY_RTOL = 1e-10
+# Row bands that a banded check, build or gather splits a matrix into.
+ROW_BANDS = 8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -63,18 +65,25 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def row_bands(h: int) -> list[slice]:
+    """At most ROW_BANDS slices of ceil(h / ROW_BANDS) rows (the last may be shorter) over range(h)."""
+    size = max(1, -(-h // ROW_BANDS))
+    return [slice(start, start + size) for start in range(0, h, size)]
+
+
 def unitarity_residual(u) -> float:
     """Max-norm of u^dag u - I over a matrix or a stack (..., n, n) of them.
 
     A drift monitor for repeated products, one Gram product per call;
     `kickedtop.power_sequence` calls it only where its rounding bound cannot
-    certify a power. A stack goes one layer at a time; np.max keeps a nan in any layer.
+    certify a power. A stack goes a layer and a row band at a time; np.max keeps a nan in any.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected a square matrix, got {u.shape}")
-    def defect(a: np.ndarray) -> float:
-        g = a.conj().T @ a
-        np.einsum("ii->i", g)[...] -= 1  # takes 1 off the diagonal (a writeable view) in place
+    def defect(a: np.ndarray, rows: slice) -> float:
+        g = a[:, rows].conj().T @ a  # rows `rows` of a^dag a
+        np.einsum("ii->i", g[:, rows])[...] -= 1  # takes 1 off the diagonal (a writeable view) in place
         return np.abs(g).max()
-    return float(np.max([defect(a) for a in u.reshape(-1, *u.shape[-2:])]))
+    layers = u.reshape(-1, *u.shape[-2:])
+    return float(np.max([defect(a, rows) for a in layers for rows in row_bands(len(a))]))

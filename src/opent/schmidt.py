@@ -12,16 +12,16 @@ An operator that commutes with a product parity diag(l1) x diag(l2) of
 eigenbasis) has a realigned matrix that is block diagonal: row (a, b) and
 column (c, d') meet only where l1[a] l1[b] = l2[c] l2[d']. Each entry
 u[(a,c), (b,d')] of those two blocks lies inside one parity block of u
-itself, so the realigned blocks are a fixed index map of u's two parity
-blocks. If u is also symmetric, u = u^T, then X[(a,b),(c,d')] =
+itself, and over a, b, c, d' each in one label class they form a strided
+view of it. If u is also symmetric, u = u^T, then X[(a,b),(c,d')] =
 X[(b,a),(d',c)], and each realigned parity block splits once more into a
 flip-even block (pairs a <= b, c <= d') and a flip-odd block (a < b,
 c < d'), each half its size. `band_stack` builds u's blocks into a padded
-(2, h, h) stack from a factored realigned matrix, one row band at a time,
-and `parity_gather` maps the four flip blocks once; `schmidt_spectrum` takes
-each from the stack with one `np.take` of two indices per entry and its
-singular values, a sixteenth of the work of one SVD, never forming the full
-operator. Local unitaries may first move an operator into such a basis.
+(2, h, h) stack from a factored realigned matrix, in row bands, through
+those views; `parity_gather` copies the four flip blocks out through them,
+and `schmidt_spectrum` takes their singular values, a sixteenth of the work
+of one SVD, never forming the full operator. Local unitaries may first move
+an operator into such a basis.
 
 A diagonal operator U = diag(phi) may be passed as the vector phi of its
 n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
@@ -32,12 +32,14 @@ by n^2 - n exact zeros.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .linalg import as_matrix, singular_values
+from .linalg import as_matrix, row_bands, singular_values
 
 # Coefficients below this fraction of the largest one count as zero for
 # rank reporting; they are kept in entropy sums.
@@ -110,76 +112,102 @@ def realign(u, d: BipartitionDims) -> np.ndarray:
 
 
 def _parity_layout(l1, l2):
-    """(flat, h) of the padded (2, h, h) parity stack of a u that commutes with diag(l1) x diag(l2).
+    """(h, view) of the padded (2, h, h) parity stack of a u that commutes with diag(l1) x diag(l2).
 
     With r = outer(l1, l2) > 0 over u's rows, layer 0 holds u[r][:, r] and layer 1 u[~r][:, ~r],
     each top-left; the smaller is padded by 1s on the diagonal, so a stack of unitaries stays
-    unitary. flat(a, b, c, d) is the stack index of u[(a, c), (b, d)], l1[a] l1[b] = l2[c] l2[d].
+    unitary. The labels alternate (l[a] l[b] = 1 iff a = b mod 2), so two consecutive a hold M
+    rows of each layer: the rows (a, c), a in a0::2, c in c0::2, lie at place[a0, c0] + M (a // 2)
+    + c // 2 of one layer. view(stack, a0, b0, c0, d0) is the (a // 2, b // 2, c // 2, d // 2)
+    strided view of x[(a, b), (c, d)] = u[(a, c), (b, d)] there, for l1[a0] l1[b0] = l2[c0] l2[d0].
     """
+    if any(np.any(labels[1:] != -labels[:-1]) for labels in (l1, l2)):  # the views assume it
+        raise ValueError("parity labels must alternate in sign")
     r = np.outer(l1, l2) > 0
-    h = max(np.count_nonzero(r), np.count_nonzero(~r))
+    (n, m), h = r.shape, max(np.count_nonzero(r), np.count_nonzero(~r))
     place = np.where(r, np.cumsum(r).reshape(r.shape), np.cumsum(~r).reshape(r.shape)) - 1
-    start = np.where(r, 0, h * h) + place * h  # stack index of row (a, c)'s first entry
-    return (lambda a, b, c, d: start[a[:, None], c] + place[b[:, None], d]), h
+
+    def view(stack: np.ndarray, a0: int, b0: int, c0: int, d0: int) -> np.ndarray:
+        if stack.shape != (2, h, h):
+            raise ValueError(f"a stack of shape {stack.shape} does not match its labels' (2, {h}, {h})")
+        layer = stack[int(not r[a0, c0])]
+        shape = [(k - k0 + 1) // 2 for k, k0 in zip((n, n, m, m), (a0, b0, c0, d0))]
+        (rows, cols), corner = layer.strides, layer[place[a0, c0]:, place[b0, d0]:]
+        return as_strided(corner, shape, (m * rows, m * cols, rows, cols))
+    return h, view
 
 
 def band_stack(left, right, l1, l2) -> tuple[np.ndarray, float]:
     """The parity stack (`_parity_layout`) of u from x = left @ right, and max |u| off its blocks.
 
-    x[(a, b), (c, d)] = u[(a, c), (b, d)] is u realigned. Each row parity l1[a] l1[b] takes one
-    row band left[rows] @ right, so neither x nor u is formed whole: the columns with l2[c] l2[d]
-    of that parity go into the stack, the others only into a band maximum; np.max keeps a nan.
+    x[(a, b), (c, d)] = u[(a, c), (b, d)] is u realigned. Its rows go in bands, each of one label
+    class of a and an eighth of it (`row_bands`) with every b, as left[rows] @ right, so neither
+    x nor u is formed whole: the band's pieces of one parity go into their views of the stack,
+    the others only into a band maximum; np.max keeps a nan.
     """
-    flat, h = _parity_layout(l1, l2)
-    stack, off = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy(), []
-    for parity in (1, -1):
-        (a, b), (c, d) = (np.nonzero(np.outer(labels, labels) == parity) for labels in (l1, l2))
-        inside, index = (np.outer(l2, l2) == parity).ravel(), flat(a, b, c, d)
-        band = left[a * len(l1) + b] @ right
-        np.put(stack, index, band[:, inside])
-        off.append(np.abs(band[:, ~inside]).max())
-        del index, band  # so that two bands never coexist
+    h, view = _parity_layout(l1, l2)
+    (n, m), off = (len(l1), len(l2)), []
+    stack = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy()
+    left = np.reshape(left, (n, n, -1))
+    for a0 in (0, 1):
+        for rows in row_bands(len(left[a0::2])):  # each band has at least n >= 2 rows: a gemm
+            band = (left[a0::2][rows].reshape(-1, left.shape[-1]) @ right).reshape(-1, n, m, m)
+            for b0, c0, d0 in itertools.product((0, 1), repeat=3):
+                if (a0 == b0) == (c0 == d0):
+                    view(stack, a0, b0, c0, d0)[rows] = band[:, b0::2, c0::2, d0::2]
+                else:
+                    off.append(np.abs(band[:, b0::2, c0::2, d0::2]).max())
     return stack, float(np.max(off))
 
 
-class FlipBlock(NamedTuple):
-    """One realigned block, scale * (np.take(stack, idx[0]) + sign * np.take(stack, idx[1]))."""
+def parity_gather(l1, l2) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """The four realigned flip blocks of a symmetric operator's parity stack, as a function of it.
 
-    idx: np.ndarray  # (2, rows, columns) flat stack indices of x[ab, cd] and x[ab, dc]
-    sign: float  # +1 flip-even, -1 flip-odd
-    scale: np.ndarray | float  # rho_ab rho_cd for flip-even, 1 for flip-odd
-
-
-def parity_gather(l1, l2) -> tuple[FlipBlock, ...]:
-    """The four realigned blocks of a symmetric operator's parity stack (`_parity_layout`).
-
-    Row (a, b) and column (c, d') of the realigned matrix x meet in the
-    first parity block where l1[a] l1[b] = l2[c] l2[d'] = 1 and in the
-    second where both are -1. Their entry u[(a,c), (b,d')] then has row and
-    column on the same side of r, so it lies in one layer of the stack. If
-    u = u^T, then x[ab, cd] = x[ba, dc], so swapping both pairs is a
-    symmetry of x that keeps each parity block, and each splits into a
-    flip-even block on the orthonormal vectors rho_ab (e_ab + e_ba) (a <= b,
-    rho = 1/sqrt(2) where a = b, else 1), with entries
-    (x[ab, cd] + x[ab, dc]) rho_ab rho_cd, and a flip-odd block on
-    (e_ab - e_ba) / sqrt(2) (a < b), with entries x[ab, cd] - x[ab, dc].
-    The stack's padding is never read.
+    If u = u^T, then x[ab, cd] = x[ba, dc]: swapping both pairs keeps each realigned parity block,
+    which splits into a flip-even block on the orthonormal vectors rho_ab (e_ab + e_ba) (a <= b,
+    rho = 1/sqrt(2) where a = b, else 1), with entries (x[ab, cd] + x[ab, dc]) rho_ab rho_cd, and
+    a flip-odd block on (e_ab - e_ba) / sqrt(2) (a < b), with entries x[ab, cd] - x[ab, dc]. The
+    generator yields them in this order, parity 1 first, each a new array: it copies each parity
+    block of x from its views of the stack (`_parity_layout`) and takes its flip blocks from that
+    by index vectors over pairs, in row bands. It keeps no block it yielded and never reads the
+    stack's padding.
     """
-    flat, _ = _parity_layout(l1, l2)
+    (_, view), n, m = _parity_layout(l1, l2), len(l1), len(l2)
 
-    def pairs(labels, parity, strict):  # (a, b), a <= b (a < b if strict), l[a] l[b] = parity
-        a, b = np.triu_indices(len(labels), k=int(strict))
-        keep = labels[a] * labels[b] == parity
-        return a[keep], b[keep]
+    def position(size, a, b):  # x's row of (a, b) of `size` labels: by (a % 2, b % 2), a // 2, b // 2
+        count = np.array([(size + 1) // 2, size // 2])
+        return a % 2 * count[0] * count[1 - b % 2] + a // 2 * count[b % 2] + b // 2
 
-    blocks = []
-    for parity in (1, -1):
-        for sign in (1.0, -1.0):
-            (a, b), (c, d) = pairs(l1, parity, sign < 0), pairs(l2, parity, sign < 0)
-            scale = np.outer(np.where(a == b, np.sqrt(0.5), 1), np.where(c == d, np.sqrt(0.5), 1))
-            blocks.append(FlipBlock(np.stack([flat(a, b, c, d), flat(a, b, d, c)]), sign,
-                                    scale if sign > 0 else 1.0))
-    return tuple(blocks)
+    def pairs(labels, parity, strict):  # x's rows of (a, b) and of (b, a), and rho_ab, over the pairs
+        a, b = np.triu_indices(len(labels), k=int(strict))  # a <= b (a < b if strict), l[a] l[b] = parity
+        a, b = np.compress(labels[a] * labels[b] == parity, [a, b], axis=1)
+        return position(len(labels), a, b), position(len(labels), b, a), np.where(a == b, np.sqrt(0.5), 1)
+
+    blocks = {1: [], -1: []}
+    for parity, sign in itertools.product((1, -1), (1, -1)):
+        (rows, _, rho1), (cols, flipped, rho2) = (pairs(labels, parity, sign < 0) for labels in (l1, l2))
+        blocks[parity].append((rows, cols, flipped, np.add if sign > 0 else np.subtract, (rho1, rho2)))
+
+    def flip(x, rows, cols, flipped, combine, rho) -> np.ndarray:
+        y = np.empty((len(rows), len(cols)), dtype=np.complex128)
+        for band in row_bands(len(y)):  # so that no temporary exceeds a band of x
+            part = x.take(rows[band], axis=0)
+            combine(part.take(cols, axis=1), part.take(flipped, axis=1), out=y[band])
+            y[band] *= np.outer(rho[0][band], rho[1])
+        return y
+
+    def gather(stack: np.ndarray) -> Iterator[np.ndarray]:
+        for parity in (1, -1):
+            x = np.empty([np.count_nonzero(np.outer(lab, lab) == parity) for lab in (l1, l2)],
+                         dtype=np.complex128)
+            for a0, b0, c0, d0 in itertools.product((0, 1), repeat=4):
+                if (a0 == b0) == (c0 == d0) == (parity > 0):
+                    grid = view(stack, a0, b0, c0, d0)
+                    (na, nb, nc, nd), row, col = grid.shape, position(n, a0, b0), position(m, c0, d0)
+                    x[row:row + na * nb, col:col + nc * nd].reshape(grid.shape)[...] = grid
+            yield from (flip(x, *block) for block in blocks[parity])
+            del x
+    return gather
 
 
 def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
@@ -189,10 +217,11 @@ def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
     which takes one SVD of its n x m reshape; or the parity stack of a
     symmetric operator that commutes with diag(l1) x diag(l2), with
     `gather = parity_gather(l1, l2)`, which takes the SVDs of the four
-    realigned flip blocks. Only a stack reads `gather`. A stack holds
-    nothing off the parity blocks and only the flip-symmetric part of the
-    realigned blocks is read, so checking both symmetries is left to the
-    caller (`band_stack` returns the off-block residual).
+    realigned flip blocks that `gather(u)` yields. Only a stack reads
+    `gather`. A stack holds nothing off the parity blocks and only the
+    flip-symmetric part of the realigned blocks is read, so checking both
+    symmetries is left to the caller (`band_stack` returns the off-block
+    residual).
     """
     if np.ndim(u) == 1:
         if len(u) != d.total:
@@ -201,18 +230,13 @@ def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
         sigma = np.concatenate([sigma, np.zeros(d.n * d.n - d.n)])
         return SchmidtSpectrum(lambdas=sigma**2, dims=d)
     if np.ndim(u) == 3:
-        if gather is None or sum(block.idx.shape[1] for block in gather) != d.n * d.n:
+        sigma = [*map(singular_values, gather(u))] if gather else []  # map keeps no block
+        if sum(map(len, sigma)) != d.n * d.n:
             raise ValueError(f"a stack of parity blocks needs the gather of its {d.n} x {d.m} labels")
-        sigma = np.sort(np.concatenate([singular_values(flip_block(u, block)) for block in gather]))[::-1]
+        sigma = np.sort(np.concatenate(sigma))[::-1]
     else:
         sigma = singular_values(realign(u, d))
     return SchmidtSpectrum(lambdas=sigma[: d.n * d.n] ** 2, dims=d)
-
-
-def flip_block(stack: np.ndarray, block: FlipBlock) -> np.ndarray:
-    """One realigned flip block of a parity stack, gathered as `block` (from `parity_gather`) says."""
-    x, flipped = np.take(stack, block.idx)
-    return block.scale * (x + block.sign * flipped)
 
 
 def svn(spec: SchmidtSpectrum) -> float:

@@ -150,6 +150,25 @@ def test_cli_sweep_with_config_and_override(tmp_path):
     assert len(rows) == 2  # nmax flag overrode the config file
 
 
+@pytest.mark.parametrize("args, names", [
+    (["sweep", "--j1", "1", "--j2", "1", "--k", "1,6", "--eps", "0.1", "--nmax", "6", "--stride", "3"],
+     ["sweep_k1_eps0.1.csv", "sweep_k6_eps0.1.csv"]),
+    (["spectrum", "--j1", "1", "--j2", "1", "--window", "2,10,4"],
+     ["eigenvalues_j2_1.txt", "histogram_j2_1.csv"]),
+])
+def test_a_run_names_each_output_file_it_replaces(tmp_path, args, names):
+    out = tmp_path / "out"
+    first = run_cli([*args, "--out", str(out)])
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    second = run_cli([*args, "--out", str(out)])
+    assert first.returncode == second.returncode == 0, second.stderr
+    assert first.stderr == ""  # a fresh directory: nothing to replace
+    assert second.stderr == "".join(f"note: will replace {out / name}\n" for name in names)
+    assert second.stdout == first.stdout
+    assert sorted(written) == sorted(names)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 def test_cli_saturation_subcommand():
     res = run_cli(["saturation", "--n", "21", "--m", "21"])
     assert res.returncode == 0

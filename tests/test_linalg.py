@@ -127,3 +127,19 @@ def test_unitarity_residual_of_a_stack():
     with pytest.raises(ValueError, match="square"):
         linalg.unitarity_residual(np.ones((2, 3, 4)))
 
+
+def test_row_bands_cover_the_rows_in_at_most_row_bands_bands():
+    for h in range(200):
+        bands = linalg.row_bands(h)
+        assert len(bands) <= linalg.ROW_BANDS
+        assert [i for band in bands for i in range(h)[band]] == list(range(h))
+
+
+@given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3), dim=st.integers(1, 30))
+@settings(max_examples=30, deadline=None)
+def test_unitarity_residual_by_row_bands_equals_the_whole_gram(seed, layers, dim):
+    rng = np.random.default_rng(seed)
+    u = np.stack([np.linalg.qr(random_complex(rng, dim, dim))[0] + 1e-6 * random_complex(rng, dim, dim)
+                  for _ in range(layers)])
+    whole = max(np.abs(a.conj().T @ a - np.eye(dim)).max() for a in u)
+    assert linalg.unitarity_residual(u) == pytest.approx(whole, rel=1e-9)

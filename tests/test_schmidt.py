@@ -19,7 +19,7 @@ from opent import (
 )
 from opent.kickedtop import product_rotation
 from opent.linalg import hs_inner, kron
-from opent.schmidt import band_stack, flip_block, parity_gather
+from opent.schmidt import band_stack, parity_gather
 from opent.spin import parity_basis
 from conftest import (CNOT, parity_stack, random_complex, random_parity_unitary, random_unitary,
                       swap_operator)
@@ -249,14 +249,23 @@ def test_parity_gather_equals_realigning_the_scattered_blocks(spins):
         size = np.count_nonzero(mask)
         scattered[np.ix_(mask, mask)] = layer[:size, :size]
     x = realign(scattered, d)
-    gather = parity_gather(l1, l2)
     kinds = [(parity, sign) for parity in (1, -1) for sign in (1, -1)]
-    assert [block.sign for block in gather] == [sign for _, sign in kinds]
     rows = np.hstack([_flip_basis(l1, *kind) for kind in kinds])
     np.testing.assert_allclose(rows.T @ rows, np.eye(d.n**2), rtol=0, atol=1e-15)
-    for block, kind in zip(gather, kinds):
+    blocks = list(parity_gather(l1, l2)(stack))  # in the order of `kinds`
+    assert len(blocks) == len(kinds)
+    for block, kind in zip(blocks, kinds):
         q1, q2 = _flip_basis(l1, *kind), _flip_basis(l2, *kind)
-        np.testing.assert_allclose(flip_block(stack, block), q1.T @ x @ q2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(block, q1.T @ x @ q2, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("l1, l2", [([1.0, 1.0, -1.0], [1.0, -1.0]), ([1.0, -1.0], [-1.0, 1.0, 1.0])])
+def test_labels_that_do_not_alternate_are_refused(l1, l2):
+    l1, l2 = np.array(l1), np.array(l2)
+    with pytest.raises(ValueError, match="alternate"):
+        parity_gather(l1, l2)
+    with pytest.raises(ValueError, match="alternate"):
+        band_stack(np.zeros((len(l1) ** 2, len(l2))), np.zeros((len(l2), len(l2) ** 2)), l1, l2)
 
 
 def test_a_stack_without_its_gather_raises():
