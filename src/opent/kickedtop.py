@@ -16,13 +16,13 @@ m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
 and the precession about y unchanged. In the local Jy eigenbases R is
 diagonal, so U_T splits into two parity blocks: `parity_floquet` builds a
 symmetric local-unitary conjugate of U_T, which has its Schmidt spectra in
-every power, straight into a padded stack of them. `power_sequence` powers
-such a stack over a range of exponents, each product in place, and certifies
-each power's unitarity by a rounding bound or a Gram product.
-`kicked_spectra`, the one stream of Schmidt spectra of U_T^n shared by the
-`sweep` and `spectrum` commands, takes each from the four realigned flip
-blocks of each power; with its build, a call holds under three stacks when
-its window starts on its step.
+every power, straight into them, two matrices each of its own size.
+`power_sequence` powers a matrix over a range of exponents, each product in
+place, and certifies each power's unitarity by a rounding bound or a Gram
+product. `kicked_spectra`, the one stream of Schmidt spectra of U_T^n shared
+by the `sweep` and `spectrum` commands, powers the two blocks in lockstep and
+takes each spectrum from the four realigned flip blocks of their powers; with
+its build, a call holds under three times the two blocks' bytes.
 """
 
 from __future__ import annotations
@@ -160,47 +160,32 @@ class PowerSample(NamedTuple):
     residual: float  # a certified upper bound on max |matrix^dag matrix - I|
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b written over `out`, a or b, one layer at a time (numpy copies each overlapping layer)."""
-    for layer in np.ndindex(a.shape[:-2]):
-        np.matmul(a[layer], b[layer], out=out[layer])  # one gemm per layer, as a @ b takes
-    return out
-
-
 def _power(held: list, n: int) -> np.ndarray:
     """u^n (n >= 1) as a new array, u = held.pop(), by np.linalg.matrix_power's products in its order.
 
-    So the bits are matrix_power's. u is never written, and goes after its last use: taken out of
-    `held`, it has no reference left in a caller that kept none. Each product is written over an
-    operand that no later product needs, where there is one.
+    So the bits are matrix_power's. u is never written; taken out of `held`, it goes at the first
+    square that the result does not hold, in a caller that kept no reference to it.
     """
-    u = held.pop()
+    z, result = held.pop(), None
     if n <= 3:  # matrix_power's shortcuts u, u u and (u u) u
-        return u.copy() if n == 1 else u @ u if n == 2 else _product(uu := u @ u, u, uu)
-    z, result = u, None
+        return z.copy() if n == 1 else z @ z if n == 2 else (z @ z) @ z
     while True:  # matrix_power's loop: z = u^(2^i), the bits of n from the least significant
         n, bit = divmod(n, 2)
-        if bit and result is None:
-            result = z
-        elif bit and result is u:  # u stays as it is: over z, unless a later square needs it
-            result = _product(u, z, z) if n == 0 else u @ z
-        elif bit:
-            result = _product(result, z, result)
+        if bit:
+            result = z if result is None else result @ z
         if n == 0:
             return result
-        z = z @ z if z is u or z is result else _product(z, z, z)
-        if u is not z and u is not result:
-            u = None  # past its last use
+        z = z @ z
 
 
 def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     """Yield (n, u^n, certified unitarity residual) for each n in the range `ns`.
 
-    `u` is a matrix or a stack (..., h, h) of matrices powered side by side.
-    The first power and the step S = u^(ns.step) are formed by `_power`, the
-    first as a power of the step when the step divides the start; then each
-    sample takes one product by the step, written over the running power.
-    `u` is never written, and is let go once S exists.
+    `u` is an h x h matrix. The first power and the step S = u^(ns.step) are
+    formed by `_power`, the first as a power of the step when the step
+    divides the start; then each sample takes one product by the step,
+    written over the running power. `u` is never written, and is let go
+    once S exists.
 
     Unitarity is measured by a Gram product (`unitarity_residual`) only
     where a rounding bound cannot vouch for it. Write E(A) = A^dag A - I,
@@ -246,7 +231,7 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     bound = h * residual
     for n in ns:
         if n > ns.start:
-            acc = _product(acc, step, acc)
+            np.matmul(acc, step, out=acc)
             bound = residual = (1 + f) * bound + f + rounding * (1 + bound) * (1 + f)
         if not residual <= DRIFT_TOL or n == ns[-1]:
             residual = measured(acc)
@@ -256,10 +241,10 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
         yield PowerSample(n, np.broadcast_to(acc, acc.shape), residual)  # read-only
 
 
-def _check_symmetric(u: np.ndarray, where: str) -> None:
-    """Fail unless max |u - u^T| over a matrix or stack, by row bands, is at most DRIFT_TOL (not nan)."""
-    defect = float(np.max([np.abs(a[rows] - a[:, rows].T).max()
-                           for a in u.reshape(-1, *u.shape[-2:]) for rows in row_bands(len(a))]))
+def _check_symmetric(matrices, where: str) -> None:
+    """Fail unless max |u - u^T| over the matrices u, by row bands, is at most DRIFT_TOL (not nan)."""
+    defect = float(np.max([np.abs(u[rows] - u[:, rows].T).max()
+                           for u in matrices for rows in row_bands(len(u))]))
     if not defect <= DRIFT_TOL:
         raise RuntimeError(f"transpose defect {defect:.3e} exceeds {DRIFT_TOL:g} at {where}")
 
@@ -267,25 +252,26 @@ def _check_symmetric(u: np.ndarray, where: str) -> None:
 def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, SchmidtSpectrum]]:
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in the range `ns`.
 
-    U_T is built as the parity stack of the symmetric V of `parity_floquet`,
-    a local-unitary conjugate; V's entries off its parity blocks must be at
-    most DRIFT_TOL, and so must max |V - V^T|. `power_sequence` powers the
-    stack over `ns`, one product per sample, and certifies its unitarity;
+    U_T is built as the two parity blocks of the symmetric V of
+    `parity_floquet`, a local-unitary conjugate; V's entries off its parity
+    blocks must be at most DRIFT_TOL, and so must max |V - V^T| over each
+    block. One `power_sequence` per block powers it over `ns`, one product
+    per sample, and certifies its unitarity; the two run in lockstep, and
     each power must stay symmetric to DRIFT_TOL. The four realigned flip
-    blocks of each power are copied from strided views of the stack
+    blocks of each pair of powers are copied from strided views of them
     (`parity_gather`), and each spectrum must meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
-    stack, off, l1, l2 = parity_floquet(params)
+    blocks, off, l1, l2 = parity_floquet(params)
     if not off <= DRIFT_TOL:
         raise RuntimeError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): off-block "
                            f"residual {off:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
-    _check_symmetric(stack, "U_T in the parity basis")
+    _check_symmetric(blocks, "U_T in the parity basis")
     gather = parity_gather(l1, l2)
-    samples = power_sequence(stack, ns)
-    del stack  # power_sequence drops it once the step exists
-    for n, power, _ in samples:
-        _check_symmetric(power, f"power n={n}")
-        spec = schmidt_spectrum(power, dims, gather)
+    streams = zip(*(power_sequence(block, ns) for block in blocks))
+    del blocks  # each power_sequence drops its block once its step exists
+    for (n, plus, _), (_, minus, _) in streams:  # the parity +1 and -1 blocks
+        _check_symmetric((plus, minus), f"power n={n}")
+        spec = schmidt_spectrum(gather((plus, minus)), dims)
         spec.check_sum_rule(f"power n={n}")
         yield n, spec

@@ -16,12 +16,12 @@ itself, and over a, b, c, d' each in one label class they form a strided
 view of it. If u is also symmetric, u = u^T, then X[(a,b),(c,d')] =
 X[(b,a),(d',c)], and each realigned parity block splits once more into a
 flip-even block (pairs a <= b, c <= d') and a flip-odd block (a < b,
-c < d'), each half its size. `band_stack` builds u's blocks into a padded
-(2, h, h) stack from a factored realigned matrix, in row bands, through
-those views; `parity_gather` copies the four flip blocks out through them,
-and `schmidt_spectrum` takes their singular values, a sixteenth of the work
-of one SVD, never forming the full operator. Local unitaries may first move
-an operator into such a basis.
+c < d'), each half its size. `band_stack` builds u's two parity blocks,
+each a matrix of its own size, from a factored realigned matrix, in row
+bands, through those views; `parity_gather` copies the four flip blocks out
+through them, and `schmidt_spectrum` takes their singular values, a
+sixteenth of the work of one SVD, never forming the full operator. Local
+unitaries may first move an operator into such a basis.
 
 A diagonal operator U = diag(phi) may be passed as the vector phi of its
 n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -112,65 +112,65 @@ def realign(u, d: BipartitionDims) -> np.ndarray:
 
 
 def _parity_layout(l1, l2):
-    """(h, view) of the padded (2, h, h) parity stack of a u that commutes with diag(l1) x diag(l2).
+    """(sizes, view) of the two parity blocks of a u that commutes with diag(l1) x diag(l2).
 
-    With r = outer(l1, l2) > 0 over u's rows, layer 0 holds u[r][:, r] and layer 1 u[~r][:, ~r],
-    each top-left; the smaller is padded by 1s on the diagonal, so a stack of unitaries stays
-    unitary. The labels alternate (l[a] l[b] = 1 iff a = b mod 2), so two consecutive a hold M
-    rows of each layer: the rows (a, c), a in a0::2, c in c0::2, lie at place[a0, c0] + M (a // 2)
-    + c // 2 of one layer. view(stack, a0, b0, c0, d0) is the (a // 2, b // 2, c // 2, d // 2)
-    strided view of x[(a, b), (c, d)] = u[(a, c), (b, d)] there, for l1[a0] l1[b0] = l2[c0] l2[d0].
+    With r = outer(l1, l2) > 0 over u's rows, block 0 is u[r][:, r] and block 1 u[~r][:, ~r], of
+    `sizes` = (|r|, |~r|) rows. The labels alternate (l[a] l[b] = 1 iff a = b mod 2), so two
+    consecutive a hold M rows of each block: the rows (a, c), a in a0::2, c in c0::2, lie at
+    place[a0, c0] + M (a // 2) + c // 2 of one block. view(blocks, a0, b0, c0, d0) is the
+    (a // 2, b // 2, c // 2, d // 2) strided view of x[(a, b), (c, d)] = u[(a, c), (b, d)] in the
+    block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0].
     """
     if any(np.any(labels[1:] != -labels[:-1]) for labels in (l1, l2)):  # the views assume it
         raise ValueError("parity labels must alternate in sign")
     r = np.outer(l1, l2) > 0
-    (n, m), h = r.shape, max(np.count_nonzero(r), np.count_nonzero(~r))
+    (n, m), sizes = r.shape, (np.count_nonzero(r), np.count_nonzero(~r))
     place = np.where(r, np.cumsum(r).reshape(r.shape), np.cumsum(~r).reshape(r.shape)) - 1
 
-    def view(stack: np.ndarray, a0: int, b0: int, c0: int, d0: int) -> np.ndarray:
-        if stack.shape != (2, h, h):
-            raise ValueError(f"a stack of shape {stack.shape} does not match its labels' (2, {h}, {h})")
-        layer = stack[int(not r[a0, c0])]
+    def view(blocks, a0: int, b0: int, c0: int, d0: int) -> np.ndarray:
+        if (shapes := [np.shape(block) for block in blocks]) != [(size, size) for size in sizes]:
+            raise ValueError(f"blocks of shapes {shapes} do not match their labels' sizes {sizes}")
+        block = blocks[int(not r[a0, c0])]
         shape = [(k - k0 + 1) // 2 for k, k0 in zip((n, n, m, m), (a0, b0, c0, d0))]
-        (rows, cols), corner = layer.strides, layer[place[a0, c0]:, place[b0, d0]:]
+        (rows, cols), corner = block.strides, block[place[a0, c0]:, place[b0, d0]:]
         return as_strided(corner, shape, (m * rows, m * cols, rows, cols))
-    return h, view
+    return sizes, view
 
 
-def band_stack(left, right, l1, l2) -> tuple[np.ndarray, float]:
-    """The parity stack (`_parity_layout`) of u from x = left @ right, and max |u| off its blocks.
+def band_stack(left, right, l1, l2) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """The two parity blocks (`_parity_layout`) of u from x = left @ right, and max |u| off them.
 
     x[(a, b), (c, d)] = u[(a, c), (b, d)] is u realigned. Its rows go in bands, each of one label
     class of a and an eighth of it (`row_bands`) with every b, as left[rows] @ right, so neither
-    x nor u is formed whole: the band's pieces of one parity go into their views of the stack,
+    x nor u is formed whole: the band's pieces of one parity go into their views of the blocks,
     the others only into a band maximum; np.max keeps a nan.
     """
-    h, view = _parity_layout(l1, l2)
+    sizes, view = _parity_layout(l1, l2)
     (n, m), off = (len(l1), len(l2)), []
-    stack = np.broadcast_to(np.eye(h, dtype=np.complex128), (2, h, h)).copy()
+    blocks = tuple(np.empty((size, size), dtype=np.complex128) for size in sizes)  # views fill them
     left = np.reshape(left, (n, n, -1))
     for a0 in (0, 1):
         for rows in row_bands(len(left[a0::2])):  # each band has at least n >= 2 rows: a gemm
             band = (left[a0::2][rows].reshape(-1, left.shape[-1]) @ right).reshape(-1, n, m, m)
             for b0, c0, d0 in itertools.product((0, 1), repeat=3):
                 if (a0 == b0) == (c0 == d0):
-                    view(stack, a0, b0, c0, d0)[rows] = band[:, b0::2, c0::2, d0::2]
+                    view(blocks, a0, b0, c0, d0)[rows] = band[:, b0::2, c0::2, d0::2]
                 else:
                     off.append(np.abs(band[:, b0::2, c0::2, d0::2]).max())
-    return stack, float(np.max(off))
+    return blocks, float(np.max(off))
 
 
-def parity_gather(l1, l2) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
-    """The four realigned flip blocks of a symmetric operator's parity stack, as a function of it.
+def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarray]]:
+    """The four realigned flip blocks of a symmetric operator, as a function of its parity blocks.
 
     If u = u^T, then x[ab, cd] = x[ba, dc]: swapping both pairs keeps each realigned parity block,
     which splits into a flip-even block on the orthonormal vectors rho_ab (e_ab + e_ba) (a <= b,
     rho = 1/sqrt(2) where a = b, else 1), with entries (x[ab, cd] + x[ab, dc]) rho_ab rho_cd, and
     a flip-odd block on (e_ab - e_ba) / sqrt(2) (a < b), with entries x[ab, cd] - x[ab, dc]. The
-    generator yields them in this order, parity 1 first, each a new array: it copies each parity
-    block of x from its views of the stack (`_parity_layout`) and takes its flip blocks from that
-    by index vectors over pairs, in row bands. It keeps no block it yielded and never reads the
-    stack's padding.
+    generator takes the pair of u's parity blocks (`band_stack`) and yields the flip blocks in this
+    order, parity 1 first, each a new array: it copies each parity block of x from its views of
+    u's blocks (`_parity_layout`) and takes its flip blocks from that by index vectors over pairs,
+    in row bands. It keeps no block it yielded.
     """
     (_, view), n, m = _parity_layout(l1, l2), len(l1), len(l2)
 
@@ -183,10 +183,10 @@ def parity_gather(l1, l2) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
         a, b = np.compress(labels[a] * labels[b] == parity, [a, b], axis=1)
         return position(len(labels), a, b), position(len(labels), b, a), np.where(a == b, np.sqrt(0.5), 1)
 
-    blocks = {1: [], -1: []}
+    flips = {1: [], -1: []}
     for parity, sign in itertools.product((1, -1), (1, -1)):
         (rows, _, rho1), (cols, flipped, rho2) = (pairs(labels, parity, sign < 0) for labels in (l1, l2))
-        blocks[parity].append((rows, cols, flipped, np.add if sign > 0 else np.subtract, (rho1, rho2)))
+        flips[parity].append((rows, cols, flipped, np.add if sign > 0 else np.subtract, (rho1, rho2)))
 
     def flip(x, rows, cols, flipped, combine, rho) -> np.ndarray:
         y = np.empty((len(rows), len(cols)), dtype=np.complex128)
@@ -196,47 +196,41 @@ def parity_gather(l1, l2) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
             y[band] *= np.outer(rho[0][band], rho[1])
         return y
 
-    def gather(stack: np.ndarray) -> Iterator[np.ndarray]:
+    def gather(blocks: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         for parity in (1, -1):
             x = np.empty([np.count_nonzero(np.outer(lab, lab) == parity) for lab in (l1, l2)],
                          dtype=np.complex128)
             for a0, b0, c0, d0 in itertools.product((0, 1), repeat=4):
                 if (a0 == b0) == (c0 == d0) == (parity > 0):
-                    grid = view(stack, a0, b0, c0, d0)
+                    grid = view(blocks, a0, b0, c0, d0)
                     (na, nb, nc, nd), row, col = grid.shape, position(n, a0, b0), position(m, c0, d0)
                     x[row:row + na * nb, col:col + nc * nd].reshape(grid.shape)[...] = grid
-            yield from (flip(x, *block) for block in blocks[parity])
+            yield from (flip(x, *spec) for spec in flips[parity])
             del x
     return gather
 
 
-def schmidt_spectrum(u, d: BipartitionDims, gather=None) -> SchmidtSpectrum:
+def schmidt_spectrum(u, d: BipartitionDims) -> SchmidtSpectrum:
     """Squared singular values of the realigned operator, descending.
 
     `u` is a matrix; the 1-d vector of the diagonal of a diagonal operator,
-    which takes one SVD of its n x m reshape; or the parity stack of a
-    symmetric operator that commutes with diag(l1) x diag(l2), with
-    `gather = parity_gather(l1, l2)`, which takes the SVDs of the four
-    realigned flip blocks that `gather(u)` yields. Only a stack reads
-    `gather`. A stack holds nothing off the parity blocks and only the
-    flip-symmetric part of the realigned blocks is read, so checking both
-    symmetries is left to the caller (`band_stack` returns the off-block
-    residual).
+    which takes one SVD of its n x m reshape; or an iterator over blocks
+    whose singular values together are those of the realigned operator,
+    n^2 in all, such as the four flip blocks that
+    `parity_gather(l1, l2)(blocks)` yields for a symmetric operator that
+    commutes with diag(l1) x diag(l2). Only the in-parity, flip-symmetric
+    part of such an operator is read, so checking both symmetries is left
+    to the caller (`band_stack` returns the off-block residual).
     """
     if np.ndim(u) == 1:
         if len(u) != d.total:
             raise ValueError(f"diagonal of length {len(u)} does not match dims {d.total}")
-        sigma = singular_values(np.reshape(u, (d.n, d.m)))
-        sigma = np.concatenate([sigma, np.zeros(d.n * d.n - d.n)])
-        return SchmidtSpectrum(lambdas=sigma**2, dims=d)
-    if np.ndim(u) == 3:
-        sigma = [*map(singular_values, gather(u))] if gather else []  # map keeps no block
-        if sum(map(len, sigma)) != d.n * d.n:
-            raise ValueError(f"a stack of parity blocks needs the gather of its {d.n} x {d.m} labels")
-        sigma = np.sort(np.concatenate(sigma))[::-1]
-    else:
-        sigma = singular_values(realign(u, d))
-    return SchmidtSpectrum(lambdas=sigma[: d.n * d.n] ** 2, dims=d)
+        sigma = [singular_values(np.reshape(u, (d.n, d.m))), np.zeros(d.n * d.n - d.n)]
+    else:  # an iterator of blocks, or a matrix as one realigned block; map keeps no block
+        sigma = [*map(singular_values, u if isinstance(u, Iterator) else [realign(u, d)])]
+    if (count := sum(map(len, sigma))) != d.n * d.n:
+        raise ValueError(f"blocks hold {count} singular values, where {d.n} x {d.m} needs {d.n**2}")
+    return SchmidtSpectrum(lambdas=np.sort(np.concatenate(sigma))[::-1] ** 2, dims=d)
 
 
 def svn(spec: SchmidtSpectrum) -> float:

@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -201,9 +203,9 @@ def _symmetric_parity_unitary(spins, seed):
 @settings(max_examples=30, deadline=None)
 def test_parity_blocks_give_the_full_spectrum(spins, seed):
     u, d, labels = _symmetric_parity_unitary(spins, seed)
-    stack, off = parity_stack(u, *labels)
+    blocks, off = parity_stack(u, *labels)
     assert off < 1e-12
-    got = schmidt_spectrum(stack, d, parity_gather(*labels))
+    got = schmidt_spectrum(parity_gather(*labels)(blocks), d)
     assert got.lambdas.size == d.n**2
     assert np.all(np.diff(got.lambdas) <= 0)
     np.testing.assert_allclose(got.lambdas, schmidt_spectrum(u, d).lambdas, atol=1e-12)
@@ -214,13 +216,16 @@ def test_band_stack_matches_the_dense_parity_blocks(spins):
     u, d, labels = _symmetric_parity_unitary(spins, 11)
     identity = np.eye(d.m**2)
     for v in (u, random_unitary(np.random.default_rng(13), d.total)):  # the second breaks parity
-        stack, off = band_stack(realign(v, d), identity, *labels)  # x @ I is x, bit for bit
+        blocks, off = band_stack(realign(v, d), identity, *labels)  # x @ I is x, bit for bit
         expected, expected_off = parity_stack(v, *labels)
-        np.testing.assert_array_equal(stack, expected)
+        assert len(blocks) == len(expected) == 2
+        for block, expected_block in zip(blocks, expected):
+            np.testing.assert_array_equal(block, expected_block)
         assert off == expected_off
     q = random_unitary(np.random.default_rng(12), d.m**2)
-    stack, off = band_stack(realign(u, d) @ q, q.conj().T, *labels)
-    np.testing.assert_allclose(stack, parity_stack(u, *labels)[0], rtol=0, atol=1e-13)
+    blocks, off = band_stack(realign(u, d) @ q, q.conj().T, *labels)
+    for block, expected_block in zip(blocks, parity_stack(u, *labels)[0]):
+        np.testing.assert_allclose(block, expected_block, rtol=0, atol=1e-13)
     assert off < 1e-13
 
 
@@ -242,17 +247,16 @@ def _flip_basis(labels, parity, sign):
 @pytest.mark.parametrize("spins", [(a, b) for a in SPINS for b in SPINS if a <= b])
 def test_parity_gather_equals_realigning_the_scattered_blocks(spins):
     u, d, (l1, l2) = _symmetric_parity_unitary(spins, 7)
-    stack, _ = parity_stack(u, l1, l2)
+    blocks, _ = parity_stack(u, l1, l2)
     r = np.outer(l1, l2).ravel() > 0
     scattered = np.zeros_like(u)
-    for layer, mask in zip(stack, (r, ~r)):
-        size = np.count_nonzero(mask)
-        scattered[np.ix_(mask, mask)] = layer[:size, :size]
+    for block, mask in zip(blocks, (r, ~r)):
+        scattered[np.ix_(mask, mask)] = block
     x = realign(scattered, d)
     kinds = [(parity, sign) for parity in (1, -1) for sign in (1, -1)]
     rows = np.hstack([_flip_basis(l1, *kind) for kind in kinds])
     np.testing.assert_allclose(rows.T @ rows, np.eye(d.n**2), rtol=0, atol=1e-15)
-    blocks = list(parity_gather(l1, l2)(stack))  # in the order of `kinds`
+    blocks = list(parity_gather(l1, l2)(blocks))  # in the order of `kinds`
     assert len(blocks) == len(kinds)
     for block, kind in zip(blocks, kinds):
         q1, q2 = _flip_basis(l1, *kind), _flip_basis(l2, *kind)
@@ -268,13 +272,15 @@ def test_labels_that_do_not_alternate_are_refused(l1, l2):
         band_stack(np.zeros((len(l1) ** 2, len(l2))), np.zeros((len(l2), len(l2) ** 2)), l1, l2)
 
 
-def test_a_stack_without_its_gather_raises():
+def test_blocks_that_hold_other_than_n_squared_singular_values_raise():
     u, d, labels = _symmetric_parity_unitary((1.0, 1.5), 3)
-    stack, _ = parity_stack(u, *labels)
-    with pytest.raises(ValueError, match="gather"):
-        schmidt_spectrum(stack, d)
-    with pytest.raises(ValueError, match="gather"):
-        schmidt_spectrum(stack, BipartitionDims(2, 3), parity_gather(*labels))
+    blocks, _ = parity_stack(u, *labels)
+    with pytest.raises(ValueError, match="singular values"):
+        schmidt_spectrum(itertools.islice(parity_gather(*labels)(blocks), 3), d)
+    with pytest.raises(ValueError, match="singular values"):
+        schmidt_spectrum(parity_gather(*labels)(blocks), BipartitionDims(2, 3))
+    with pytest.raises(ValueError, match="do not match their labels"):  # the views would overrun
+        next(parity_gather(*labels)((blocks[0], blocks[1][:-1, :-1])))
 
 
 WEAK = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.0, 1.5)]
@@ -349,6 +355,8 @@ def test_diagonal_vector_gives_the_full_spectrum(spins, seed, unimodular):
         vec /= np.abs(vec)
     got = schmidt_spectrum(vec, d)
     ref = schmidt_spectrum(np.diag(vec), d)
+    np.testing.assert_array_equal(schmidt_spectrum(iter([realign(np.diag(vec), d)]), d).lambdas,
+                                  ref.lambdas)  # the same SVD as the dense form
     assert got.lambdas.size == d.n**2
     np.testing.assert_array_equal(got.lambdas[d.n:], 0.0)
     np.testing.assert_allclose(got.lambdas, ref.lambdas, rtol=1e-12, atol=1e-12 * ref.lambdas[0])
