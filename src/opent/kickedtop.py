@@ -7,9 +7,7 @@ are diagonal in the product Jz basis, one N x M phase array g
 (`kick_phases`), so U_T = diag(g) (R_1 x R_2). Each precession has one
 build, R = w diag(exp(-i pi m / 2)) w^dag in the Jy eigenbasis w of
 `spin.parity_basis`: the dense `floquet` multiplies it out, `parity_floquet`
-stays in that basis. `zz_phases` and `rotation_phases` return the diagonals
-of the Jz x Jz couplings and of the product rotation;
-`schmidt.schmidt_spectrum` accepts such a diagonal.
+stays in that basis.
 
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
@@ -22,7 +20,7 @@ place, and certifies each power's unitarity by a rounding bound or a Gram
 product. `kicked_spectra`, the one stream of Schmidt spectra of U_T^n shared
 by the `sweep` and `spectrum` commands, powers the two blocks in lockstep and
 takes each spectrum from the four realigned flip blocks of their powers; with
-its build, a call holds under three times the two blocks' bytes.
+its build, a call on its step holds under 2.45 times their bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import kron, row_bands, unitarity_residual
+from .linalg import kron, matmul_in_place, row_bands, unitarity_residual
 from .schmidt import BipartitionDims, SchmidtSpectrum, band_stack, parity_gather, schmidt_spectrum
 from .spin import SpinSystem, parity_basis
 
@@ -181,11 +179,10 @@ def _power(held: list, n: int) -> np.ndarray:
 def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     """Yield (n, u^n, certified unitarity residual) for each n in the range `ns`.
 
-    `u` is an h x h matrix. The first power and the step S = u^(ns.step) are
-    formed by `_power`, the first as a power of the step when the step
-    divides the start; then each sample takes one product by the step,
-    written over the running power. `u` is never written, and is let go
-    once S exists.
+    `u` is an h x h matrix. S = u^(ns.step) and the first power are formed by
+    `_power`, the first as S or its power when the step divides the start;
+    then each sample takes one product by S, in place by row bands. `u` is
+    never written, and is let go once S exists.
 
     Unitarity is measured by a Gram product (`unitarity_residual`) only
     where a rounding bound cannot vouch for it. Write E(A) = A^dag A - I,
@@ -207,13 +204,13 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     exceeds DRIFT_TOL raises UnitarityDriftError. The yielded residual is
     that max-norm bound at a measured power and the carried bound e
     otherwise, so it is at least max |E| and at most DRIFT_TOL. The yielded
-    matrix is a read-only view of the running power, which the next product
-    overwrites: a caller that keeps a sample must copy it. An empty range
+    matrix is a read-only view of S, which no draw writes, or of the running
+    power, which the next overwrites: copy that to keep it. An empty range
     yields nothing.
     """
     if ns.start < 1 or ns.step < 1:
         raise ValueError(f"need a start and step of at least 1, got {ns}")
-    held, u = [np.asarray(u, dtype=np.complex128)], None  # `_power` takes u out for the step
+    held, u = [np.asarray(u, complex)], None  # `_power` takes u out for the step
     h = held[0].shape[-1]
     g = math.sqrt(2) * (h + 2) * UNIT_ROUNDOFF / (1 - (h + 2) * UNIT_ROUNDOFF)
     rounding = 2 * g * h + (g * h) ** 2
@@ -224,14 +221,14 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     first, rest = divmod(ns.start, ns.step)
     acc = _power(held[:], ns.start) if rest else None  # off the step: made while u is held
     step = _power(held, ns.step)
-    acc = _power([step], first) if acc is None else acc
+    acc = acc if rest else step if first == 1 else _power([step], first)
     step_residual = measured(step) if len(ns) > 1 else math.nan
     f = h * step_residual
-    residual = step_residual if ns.start == ns.step else math.nan  # the first power is S itself
+    residual = step_residual if acc is step else math.nan
     bound = h * residual
     for n in ns:
         if n > ns.start:
-            np.matmul(acc, step, out=acc)
+            acc = step @ step if acc is step else matmul_in_place(acc, step)
             bound = residual = (1 + f) * bound + f + rounding * (1 + bound) * (1 + f)
         if not residual <= DRIFT_TOL or n == ns[-1]:
             residual = measured(acc)
@@ -267,10 +264,11 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
         raise RuntimeError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): off-block "
                            f"residual {off:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
     _check_symmetric(blocks, "U_T in the parity basis")
-    gather = parity_gather(l1, l2)
     streams = zip(*(power_sequence(block, ns) for block in blocks))
     del blocks  # each power_sequence drops its block once its step exists
     for (n, plus, _), (_, minus, _) in streams:  # the parity +1 and -1 blocks
+        if n == ns.start:  # past the set-up
+            gather = parity_gather(l1, l2)
         _check_symmetric((plus, minus), f"power n={n}")
         spec = schmidt_spectrum(gather((plus, minus)), dims)
         spec.check_sum_rule(f"power n={n}")

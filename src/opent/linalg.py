@@ -65,10 +65,28 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def row_bands(h: int) -> list[slice]:
-    """At most ROW_BANDS slices of ceil(h / ROW_BANDS) rows (the last may be shorter) over range(h)."""
-    size = max(1, -(-h // ROW_BANDS))
-    return [slice(start, start + size) for start in range(0, h, size)]
+def row_bands(h: int, least: int = 1) -> list[slice]:
+    """At most ROW_BANDS slices over range(h), of ceil(h / ROW_BANDS) rows but at least `least`.
+
+    The last may be shorter; where it would hold fewer than `least` rows, it joins the one before.
+    """
+    size = max(least, -(-h // ROW_BANDS))
+    starts = [*range(0, h, size)]
+    if len(starts) > 1 and h - starts[-1] < least:
+        del starts[-1]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [h])]
+
+
+def matmul_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b written over a (a matrix or a stack of them) by row bands, and returned.
+
+    Only one band of the product is held at a time. Each band has at least two rows, unless a
+    has one: numpy takes a one-row band as a gemv, which could round otherwise than the gemm of
+    the whole product.
+    """
+    for rows in row_bands(a.shape[-2], least=2):
+        a[..., rows, :] = a[..., rows, :] @ b
+    return a
 
 
 def unitarity_residual(u) -> float:

@@ -19,9 +19,9 @@ flip-even block (pairs a <= b, c <= d') and a flip-odd block (a < b,
 c < d'), each half its size. `band_stack` builds u's two parity blocks,
 each a matrix of its own size, from a factored realigned matrix, in row
 bands, through those views; `parity_gather` copies the four flip blocks out
-through them, and `schmidt_spectrum` takes their singular values, a
-sixteenth of the work of one SVD, never forming the full operator. Local
-unitaries may first move an operator into such a basis.
+through them, in row bands too, and `schmidt_spectrum` takes their singular
+values, a sixteenth of the work of one SVD, never forming the full operator.
+Local unitaries may first move an operator into such a basis.
 
 A diagonal operator U = diag(phi) may be passed as the vector phi of its
 n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
@@ -37,9 +37,8 @@ from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .linalg import as_matrix, row_bands, singular_values
+from .linalg import ROW_BANDS, as_matrix, row_bands, singular_values
 
 # Coefficients below this fraction of the largest one count as zero for
 # rank reporting; they are kept in entropy sums.
@@ -81,9 +80,7 @@ class SchmidtSpectrum:
 
     @property
     def rank(self) -> int:
-        if self.lambdas.size == 0:
-            return 0
-        return int(np.sum(self.lambdas > RANK_CUTOFF * self.lambdas[0]))
+        return int(np.sum(self.lambdas > RANK_CUTOFF * self.lambdas.max(initial=0)))
 
     def check_sum_rule(self, where: str) -> None:
         """Fail unless sum(lambda) = n m, as for a unitary, to SUM_RULE_TOL (nan fails)."""
@@ -117,7 +114,7 @@ def _parity_layout(l1, l2):
     With r = outer(l1, l2) > 0 over u's rows, block 0 is u[r][:, r] and block 1 u[~r][:, ~r], of
     `sizes` = (|r|, |~r|) rows. The labels alternate (l[a] l[b] = 1 iff a = b mod 2), so two
     consecutive a hold M rows of each block: the rows (a, c), a in a0::2, c in c0::2, lie at
-    place[a0, c0] + M (a // 2) + c // 2 of one block. view(blocks, a0, b0, c0, d0) is the
+    a0 ((M + c0) // 2) + M (a // 2) + c // 2 of one block. view(blocks, a0, b0, c0, d0) is the
     (a // 2, b // 2, c // 2, d // 2) strided view of x[(a, b), (c, d)] = u[(a, c), (b, d)] in the
     block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0].
     """
@@ -125,15 +122,14 @@ def _parity_layout(l1, l2):
         raise ValueError("parity labels must alternate in sign")
     r = np.outer(l1, l2) > 0
     (n, m), sizes = r.shape, (np.count_nonzero(r), np.count_nonzero(~r))
-    place = np.where(r, np.cumsum(r).reshape(r.shape), np.cumsum(~r).reshape(r.shape)) - 1
 
-    def view(blocks, a0: int, b0: int, c0: int, d0: int) -> np.ndarray:
+    def view(blocks, a0, b0, c0, d0):
         if (shapes := [np.shape(block) for block in blocks]) != [(size, size) for size in sizes]:
             raise ValueError(f"blocks of shapes {shapes} do not match their labels' sizes {sizes}")
-        block = blocks[int(not r[a0, c0])]
+        block, h = blocks[int(not r[a0, c0])], sizes[int(not r[a0, c0])]
         shape = [(k - k0 + 1) // 2 for k, k0 in zip((n, n, m, m), (a0, b0, c0, d0))]
-        (rows, cols), corner = block.strides, block[place[a0, c0]:, place[b0, d0]:]
-        return as_strided(corner, shape, (m * rows, m * cols, rows, cols))
+        corner, item = a0 * (m + c0) // 2 * h + b0 * (m + d0) // 2, block.itemsize  # numpy refuses a block not in C order
+        return np.ndarray(shape, block.dtype, block, item * corner, [item * m * h, item * m, item * h, item])
     return sizes, view
 
 
@@ -147,16 +143,17 @@ def band_stack(left, right, l1, l2) -> tuple[tuple[np.ndarray, np.ndarray], floa
     """
     sizes, view = _parity_layout(l1, l2)
     (n, m), off = (len(l1), len(l2)), []
-    blocks = tuple(np.empty((size, size), dtype=np.complex128) for size in sizes)  # views fill them
+    blocks = tuple(np.empty((size, size), complex) for size in sizes)  # views fill them
     left = np.reshape(left, (n, n, -1))
     for a0 in (0, 1):
         for rows in row_bands(len(left[a0::2])):  # each band has at least n >= 2 rows: a gemm
             band = (left[a0::2][rows].reshape(-1, left.shape[-1]) @ right).reshape(-1, n, m, m)
             for b0, c0, d0 in itertools.product((0, 1), repeat=3):
+                piece = band[:, b0::2, c0::2, d0::2]
                 if (a0 == b0) == (c0 == d0):
-                    view(blocks, a0, b0, c0, d0)[rows] = band[:, b0::2, c0::2, d0::2]
+                    view(blocks, a0, b0, c0, d0)[rows] = piece
                 else:
-                    off.append(np.abs(band[:, b0::2, c0::2, d0::2]).max())
+                    off.append(np.abs(piece).max())
     return blocks, float(np.max(off))
 
 
@@ -168,45 +165,45 @@ def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
     rho = 1/sqrt(2) where a = b, else 1), with entries (x[ab, cd] + x[ab, dc]) rho_ab rho_cd, and
     a flip-odd block on (e_ab - e_ba) / sqrt(2) (a < b), with entries x[ab, cd] - x[ab, dc]. The
     generator takes the pair of u's parity blocks (`band_stack`) and yields the flip blocks in this
-    order, parity 1 first, each a new array: it copies each parity block of x from its views of
-    u's blocks (`_parity_layout`) and takes its flip blocks from that by index vectors over pairs,
-    in row bands. It keeps no block it yielded.
+    order, parity 1 first, each a new array. No realigned parity block is made: a flip block goes
+    in row bands of whole runs (a, b), (a, b + 2), ... of one a, and each band copies its rows of x
+    run by run from the strided views of u's blocks (`_parity_layout`), then takes its columns.
+    It keeps no block it yielded.
     """
     (_, view), n, m = _parity_layout(l1, l2), len(l1), len(l2)
+    h = (m + 1) // 2  # a row of `part`: x's row by (c % 2, c // 2, d // 2), padded to (2, h, h)
 
-    def position(size, a, b):  # x's row of (a, b) of `size` labels: by (a % 2, b % 2), a // 2, b // 2
-        count = np.array([(size + 1) // 2, size // 2])
-        return a % 2 * count[0] * count[1 - b % 2] + a // 2 * count[b % 2] + b // 2
+    def pairs(size, offset):  # (a, b), b = a + offset, a + offset + 2, ... below size, by a, then b
+        return np.array([(a, b) for a in range(size) for b in range(a + offset, size, 2)], int).reshape(-1, 2).T
 
-    def pairs(labels, parity, strict):  # x's rows of (a, b) and of (b, a), and rho_ab, over the pairs
-        a, b = np.triu_indices(len(labels), k=int(strict))  # a <= b (a < b if strict), l[a] l[b] = parity
-        a, b = np.compress(labels[a] * labels[b] == parity, [a, b], axis=1)
-        return position(len(labels), a, b), position(len(labels), b, a), np.where(a == b, np.sqrt(0.5), 1)
+    flips = [[], []]  # parity 1 (a + b even): a <= b, then a < b; parity -1: a < b twice
+    for odd, offset, combine in (0, 0, np.add), (0, 2, np.subtract), (1, 1, np.add), (1, 1, np.subtract):
+        (a, b), (c, d) = pairs(n, offset), pairs(m, offset)
+        starts = [*np.flatnonzero(b == a + offset).tolist(), len(a)]  # where each a's rows start
+        runs = [(r, a[r] % 2, a[r] // 2, b[r] // 2, end - r) for r, end in zip(starts, starts[1:])]
+        bands = ([*band] for _, band in itertools.groupby(runs, lambda run: run[0] * ROW_BANDS // len(a)))
+        flips[odd].append(([(band[0][0], band[-1][0] + band[-1][-1], band) for band in bands],
+                           (c % 2 * h + c // 2) * h + d // 2, (d % 2 * h + d // 2) * h + c // 2, combine,
+                           np.where(a == b, np.sqrt(0.5), 1)[:, None], np.where(c == d, np.sqrt(0.5), 1)))
 
-    flips = {1: [], -1: []}
-    for parity, sign in itertools.product((1, -1), (1, -1)):
-        (rows, _, rho1), (cols, flipped, rho2) = (pairs(labels, parity, sign < 0) for labels in (l1, l2))
-        flips[parity].append((rows, cols, flipped, np.add if sign > 0 else np.subtract, (rho1, rho2)))
-
-    def flip(x, rows, cols, flipped, combine, rho) -> np.ndarray:
-        y = np.empty((len(rows), len(cols)), dtype=np.complex128)
-        for band in row_bands(len(y)):  # so that no temporary exceeds a band of x
-            part = x.take(rows[band], axis=0)
-            combine(part.take(cols, axis=1), part.take(flipped, axis=1), out=y[band])
-            y[band] *= np.outer(rho[0][band], rho[1])
+    def flip(grids, bands, cols, flipped, combine, rho1, rho2):
+        y = np.empty((len(rho1), len(cols)), complex)
+        part = np.empty((max([hi - lo for lo, hi, _ in bands], default=0), 2, h, h), complex)
+        targets = [part[:, k, :grid.shape[2], :grid.shape[3]] for k, grid in enumerate(grids[0])]
+        for lo, hi, runs in bands:  # `part` holds x's rows of the band
+            for r, a0, i, k, count in runs:  # x's rows (a, b), (a, b + 2), ..., a class of (c, d) at a time
+                for target, grid in zip(targets, grids[a0]):
+                    target[r - lo:r - lo + count] = grid[i, k:k + count]
+            x, band = part[:hi - lo].reshape(hi - lo, -1), y[lo:hi]
+            x.take(cols, axis=1, out=band, mode="clip")  # clip: no buffered copy of `out`
+            combine(band, x.take(flipped, axis=1), out=band)
+            band *= rho1[lo:hi] * rho2
         return y
 
-    def gather(blocks: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        for parity in (1, -1):
-            x = np.empty([np.count_nonzero(np.outer(lab, lab) == parity) for lab in (l1, l2)],
-                         dtype=np.complex128)
-            for a0, b0, c0, d0 in itertools.product((0, 1), repeat=4):
-                if (a0 == b0) == (c0 == d0) == (parity > 0):
-                    grid = view(blocks, a0, b0, c0, d0)
-                    (na, nb, nc, nd), row, col = grid.shape, position(n, a0, b0), position(m, c0, d0)
-                    x[row:row + na * nb, col:col + nc * nd].reshape(grid.shape)[...] = grid
-            yield from (flip(x, *spec) for spec in flips[parity])
-            del x
+    def gather(blocks):
+        for odd in (0, 1):
+            grids = [[view(blocks, a0, a0 ^ odd, c0, c0 ^ odd) for c0 in (0, 1)] for a0 in (0, 1)]
+            yield from (flip(grids, *spec) for spec in flips[odd])
     return gather
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from opent.cli import default_to_one_blas_thread
@@ -6,7 +8,8 @@ default_to_one_blas_thread()  # as the CLI does, before numpy loads
 
 import numpy as np  # noqa: E402
 
-from opent.linalg import eigh  # noqa: E402
+from opent.linalg import eigh, row_bands  # noqa: E402
+from opent.schmidt import _parity_layout  # noqa: E402
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -42,6 +45,50 @@ def parity_stack(u, l1, l2) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     r = np.outer(l1, l2).ravel() > 0
     blocks = tuple(u[np.ix_(mask, mask)] for mask in (r, ~r))
     return blocks, float(np.abs(u[r[:, None] != r]).max())
+
+
+def copy_gather(l1, l2):
+    """The reference for `schmidt.parity_gather`: the same flip blocks, through whole parity blocks.
+
+    For each parity it copies the realigned parity block x of u from its four strided views
+    (`schmidt._parity_layout`) and takes each flip block from x's rows and columns by index
+    vectors over pairs, in row bands; so it holds a realigned parity block while it yields.
+    """
+    (_, view), n, m = _parity_layout(l1, l2), len(l1), len(l2)
+
+    def position(size, a, b):  # x's row of (a, b) of `size` labels: by (a % 2, b % 2), a // 2, b // 2
+        count = np.array([(size + 1) // 2, size // 2])
+        return a % 2 * count[0] * count[1 - b % 2] + a // 2 * count[b % 2] + b // 2
+
+    def pairs(labels, parity, strict):  # x's rows of (a, b) and of (b, a), and rho_ab, over the pairs
+        a, b = np.triu_indices(len(labels), k=int(strict))  # a <= b (a < b if strict), l[a] l[b] = parity
+        a, b = np.compress(labels[a] * labels[b] == parity, [a, b], axis=1)
+        return position(len(labels), a, b), position(len(labels), b, a), np.where(a == b, np.sqrt(0.5), 1)
+
+    flips = {1: [], -1: []}
+    for parity, sign in itertools.product((1, -1), (1, -1)):
+        (rows, _, rho1), (cols, flipped, rho2) = (pairs(labels, parity, sign < 0) for labels in (l1, l2))
+        flips[parity].append((rows, cols, flipped, np.add if sign > 0 else np.subtract, (rho1, rho2)))
+
+    def flip(x, rows, cols, flipped, combine, rho) -> np.ndarray:
+        y = np.empty((len(rows), len(cols)), dtype=np.complex128)
+        for band in row_bands(len(y)):
+            part = x.take(rows[band], axis=0)
+            combine(part.take(cols, axis=1), part.take(flipped, axis=1), out=y[band])
+            y[band] *= np.outer(rho[0][band], rho[1])
+        return y
+
+    def gather(blocks):
+        for parity in (1, -1):
+            x = np.empty([np.count_nonzero(np.outer(lab, lab) == parity) for lab in (l1, l2)],
+                         dtype=np.complex128)
+            for a0, b0, c0, d0 in itertools.product((0, 1), repeat=4):
+                if (a0 == b0) == (c0 == d0) == (parity > 0):
+                    grid = view(blocks, a0, b0, c0, d0)
+                    (na, nb, nc, nd), row, col = grid.shape, position(n, a0, b0), position(m, c0, d0)
+                    x[row:row + na * nb, col:col + nc * nd].reshape(grid.shape)[...] = grid
+            yield from (flip(x, *spec) for spec in flips[parity])
+    return gather
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

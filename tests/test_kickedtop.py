@@ -297,13 +297,14 @@ def test_checks_fail_when_only_the_last_layer_or_band_is_nan():
 def test_kicked_spectra_stream_in_bounded_memory():
     # numpy's traced peak over a whole call, the build of U_T included, in stacks: the two
     # parity blocks' nbytes together. On its step the stream holds each block's step and running
-    # power, one product scratch or one realigned parity block (about half a stack each) and a
-    # flip block: 2.88-2.95 stacks here. Off its step each block's first power is made while
-    # that block is held: 2.86 stacks on (2, 35, 8) and 3.07 on (12, 60, 8).
+    # power, a flip block and a row band of temporaries: 2.36-2.38 stacks here, where the gather's
+    # index vectors still weigh. A window that starts at a higher power of its step makes that
+    # power while the step is held (2.52 stacks), and off its step each block's first power is
+    # made while that block is held: 2.52 stacks on (2, 35, 8) and 3.02 on (12, 60, 8).
     p = KickedTopParams(5, 7.5, 6.0, 6.0, 1.0)
     stack_bytes = sum(block.nbytes for block in parity_floquet(p)[0])
-    windows = ((range(8, 41, 8), 3.0), (range(200, 1001, 40), 3.0), (range(2, 35, 8), 3.0),
-               (range(12, 60, 8), 3.2))
+    windows = ((range(8, 41, 8), 2.45), (range(5, 51, 5), 2.45), (range(200, 1001, 40), 2.6),
+               (range(2, 35, 8), 2.6), (range(12, 60, 8), 3.05))
     for ns, bound in windows:
         tracemalloc.start()
         try:
@@ -336,15 +337,33 @@ def test_power_sequence_leaves_its_input_unchanged(ns):
 
 
 def test_a_kept_power_is_overwritten_by_the_next_draw():
-    # the lifetime rule of power_sequence's samples, and why it is not a public name of opent
+    # the lifetime rule of power_sequence's samples, and why it is not a public name of opent:
+    # on its step the first sample is the step itself, which no draw writes, and each later
+    # sample is the running power, which the next draw overwrites
     u = floquet(KickedTopParams(1, 1, 2.0, 2.0, 0.5))
-    samples = power_sequence(u, range(1, 3))
-    first = next(samples).matrix
-    np.testing.assert_array_equal(first, u)
-    second = next(samples).matrix
-    assert np.shares_memory(first, second)
-    np.testing.assert_array_equal(first, np.linalg.matrix_power(u, 2))  # no longer u itself
+    samples = power_sequence(u, range(1, 4))
+    first, second = next(samples).matrix, next(samples).matrix
+    np.testing.assert_array_equal(second, np.linalg.matrix_power(u, 2))
+    third = next(samples).matrix
+    assert np.shares_memory(second, third) and not np.shares_memory(first, second)
+    np.testing.assert_array_equal(second, np.linalg.matrix_power(u, 3))  # no longer u^2
+    np.testing.assert_array_equal(first, u)  # still u itself
     assert "power_sequence" not in opent.__all__ and not hasattr(opent, "power_sequence")
+
+
+@given(seed=st.integers(0, 2**32 - 1), layers=st.integers(0, 2), h=st.integers(1, 12),
+       stride=st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_power_sequence_products_equal_whole_products_bit_for_bit(seed, layers, h, stride):
+    # on its step the first power is S itself, the first product makes S S, and each later one
+    # is written over the running power by row bands: each must equal numpy's whole product
+    rng = np.random.default_rng(seed)
+    u = np.stack([random_unitary(rng, h) for _ in range(max(layers, 1))])
+    u = u[0] if layers == 0 else u
+    expected = step = np.linalg.matrix_power(u, stride)
+    for s in power_sequence(u, range(stride, 7 * stride, stride)):
+        assert np.array_equal(s.matrix, expected), s.n
+        expected = expected @ step
 
 
 def test_power_sequence_drift_aborts():

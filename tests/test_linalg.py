@@ -130,9 +130,26 @@ def test_unitarity_residual_of_a_stack():
 
 def test_row_bands_cover_the_rows_in_at_most_row_bands_bands():
     for h in range(200):
-        bands = linalg.row_bands(h)
-        assert len(bands) <= linalg.ROW_BANDS
-        assert [i for band in bands for i in range(h)[band]] == list(range(h))
+        for least in (1, 2, 3):
+            bands = linalg.row_bands(h, least)
+            assert len(bands) <= linalg.ROW_BANDS
+            assert [i for band in bands for i in range(h)[band]] == list(range(h))
+            # each band holds at least `least` rows, or all h of them when h < least
+            assert min((len(range(h)[band]) for band in bands), default=h) >= min(least, h)
+
+
+@given(seed=st.integers(0, 2**32 - 1), layers=st.integers(0, 2), h=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_matmul_in_place_equals_the_whole_product_bit_for_bit(seed, layers, h):
+    # a[rows] = a[rows] @ b band by band, each band of at least two rows (one row would be a
+    # gemv), must give numpy's a @ b exactly, for a matrix (layers = 0) and for a stack
+    rng = np.random.default_rng(seed)
+    a, b = (np.stack([random_complex(rng, h, h) for _ in range(max(layers, 1))]) for _ in range(2))
+    if layers == 0:
+        a, b = a[0], b[0]
+    expected = a @ b
+    assert linalg.matmul_in_place(a, b) is a
+    assert np.array_equal(a, expected)
 
 
 @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3), dim=st.integers(1, 30))

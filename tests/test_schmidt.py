@@ -23,8 +23,8 @@ from opent.kickedtop import product_rotation
 from opent.linalg import hs_inner, kron
 from opent.schmidt import band_stack, parity_gather
 from opent.spin import parity_basis
-from conftest import (CNOT, parity_stack, random_complex, random_parity_unitary, random_unitary,
-                      swap_operator)
+from conftest import (CNOT, copy_gather, parity_stack, random_complex, random_parity_unitary,
+                      random_unitary, swap_operator)
 
 D22 = BipartitionDims(2, 2)
 
@@ -261,6 +261,18 @@ def test_parity_gather_equals_realigning_the_scattered_blocks(spins):
     for block, kind in zip(blocks, kinds):
         q1, q2 = _flip_basis(l1, *kind), _flip_basis(l2, *kind)
         np.testing.assert_allclose(block, q1.T @ x @ q2, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spins", [(a, b) for a in SPINS for b in SPINS if a <= b] + [(5.0, 7.5)])
+def test_parity_gather_equals_the_copying_gather_bit_for_bit(spins):
+    # the flip blocks come straight from the views of u's blocks, run by run, in place of
+    # from a copied realigned parity block; every entry must keep its bits (odd D included)
+    u, d, labels = _symmetric_parity_unitary(spins, 17)
+    blocks, _ = parity_stack(u, *labels)
+    got, expected = list(parity_gather(*labels)(blocks)), list(copy_gather(*labels)(blocks))
+    assert len(got) == len(expected) == 4
+    for block, expected_block in zip(got, expected):
+        assert block.shape == expected_block.shape and np.array_equal(block, expected_block)
 
 
 @pytest.mark.parametrize("l1, l2", [([1.0, 1.0, -1.0], [1.0, -1.0]), ([1.0, -1.0], [-1.0, 1.0, 1.0])])
