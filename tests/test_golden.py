@@ -24,6 +24,8 @@ DUMP_TOL = 1e-13
 COMMANDS = {
     "sweep": ["sweep", "--j1", "3", "--j2", "5.5", "--k", "1,6", "--eps", "0.001,1",
               "--nmax", "300", "--stride", "7"],
+    "sweep_identical": ["sweep", "--j1", "3", "--j2", "3", "--k", "1,6", "--eps", "0.001,1",
+                        "--nmax", "300", "--stride", "7"],
     "spectrum": ["spectrum", "--j1", "3", "--j2", "3,4.5", "--window", "5,200,4"],
     "diagonal": ["diagonal", "--j1", "3", "--j2", "5.5"],
     "saturation": ["saturation", "--n", "21", "--m", "41"],
