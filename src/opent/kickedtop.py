@@ -14,13 +14,17 @@ m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
 and the precession about y unchanged. In the local Jy eigenbases R is
 diagonal, so U_T splits into two parity blocks: `parity_floquet` builds a
 symmetric local-unitary conjugate of U_T, which has its Schmidt spectra in
-every power, straight into them, two matrices each of its own size.
+every power, straight into them, two matrices each of its own size. Two
+identical tops (j1 = j2, k1 = k2) also commute with their exchange, so each
+parity block splits once more into an exchange-even and an exchange-odd
+sector, four matrices of half the bytes in all (`exchange.exchange_sectors`).
 `power_sequence` powers a matrix over a range of exponents, each product in
 place, and certifies each power's unitarity by a rounding bound or a Gram
 product. `kicked_spectra`, the one stream of Schmidt spectra of U_T^n shared
-by the `sweep` and `spectrum` commands, powers the two blocks in lockstep and
-takes each spectrum from the four realigned flip blocks of their powers; with
-its build, a call on its step holds under 2.45 times their bytes.
+by the `sweep` and `spectrum` commands, powers the blocks, or the sectors, in
+lockstep and takes each spectrum from the four realigned flip blocks of their
+powers. With its build, a call on its step holds under 2.45 times the two
+parity blocks' bytes, or 1.75 times for identical tops.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import kron, matmul_in_place, row_bands, unitarity_residual
+from .exchange import exchange_sectors, sector_gather
 from .schmidt import BipartitionDims, SchmidtSpectrum, band_stack, parity_gather, schmidt_spectrum
 from .spin import SpinSystem, parity_basis
 
@@ -131,7 +136,7 @@ def floquet(p: KickedTopParams) -> np.ndarray:
     return kick_phases(p).reshape(-1, 1) * kron(precession(p.top1), precession(p.top2))
 
 
-def parity_floquet(p: KickedTopParams) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+def parity_floquet(p: KickedTopParams) -> tuple[list[np.ndarray], float, np.ndarray, np.ndarray]:
     """`schmidt.band_stack` of V = D^(1/2) (W^dag U_T W) D^(-1/2) in W = w1 x w2, and l1, l2.
 
     (w_i, l_i) = `spin.parity_basis(top i)`. There exp(-i (pi/2) Jy) is the
@@ -252,11 +257,15 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     U_T is built as the two parity blocks of the symmetric V of
     `parity_floquet`, a local-unitary conjugate; V's entries off its parity
     blocks must be at most DRIFT_TOL, and so must max |V - V^T| over each
-    block. One `power_sequence` per block powers it over `ns`, one product
-    per sample, and certifies its unitarity; the two run in lockstep, and
-    each power must stay symmetric to DRIFT_TOL. The four realigned flip
-    blocks of each pair of powers are copied from strided views of them
-    (`parity_gather`), and each spectrum must meet the sum rule.
+    block. For identical tops (j1 = j2 and k1 = k2) each block is split into
+    its two exchange sectors (`exchange_sectors`), and V must commute with the
+    exchange to DRIFT_TOL. One `power_sequence` per block, or per sector,
+    powers it over `ns`, one product per sample, and certifies its unitarity;
+    all run in lockstep, and each power must stay symmetric to DRIFT_TOL. The
+    four realigned flip blocks of each sample are copied from strided views of
+    the blocks' powers (`parity_gather`), or of V^n's rows rebuilt from the
+    sectors' powers a slab at a time (`sector_gather`), and each spectrum must
+    meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     blocks, off, l1, l2 = parity_floquet(params)
@@ -264,12 +273,19 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
         raise RuntimeError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): off-block "
                            f"residual {off:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
     _check_symmetric(blocks, "U_T in the parity basis")
+    identical = params.j1 == params.j2 and params.k1 == params.k2
+    if identical:
+        blocks, swapped = exchange_sectors(blocks, l1)  # lets each block go once it is split
+        if not swapped <= DRIFT_TOL:
+            raise RuntimeError(f"U_T breaks the exchange of two identical tops: residual "
+                               f"{swapped:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
     streams = zip(*(power_sequence(block, ns) for block in blocks))
     del blocks  # each power_sequence drops its block once its step exists
-    for (n, plus, _), (_, minus, _) in streams:  # the parity +1 and -1 blocks
+    for samples in streams:  # the parity +1 and -1 blocks, or the even and odd sectors of each
+        n, powers = samples[0].n, [sample.matrix for sample in samples]
         if n == ns.start:  # past the set-up
-            gather = parity_gather(l1, l2)
-        _check_symmetric((plus, minus), f"power n={n}")
-        spec = schmidt_spectrum(gather((plus, minus)), dims)
+            gather = sector_gather(l1) if identical else parity_gather(l1, l2)
+        _check_symmetric(powers, f"power n={n}")
+        spec = schmidt_spectrum(gather(powers), dims)
         spec.check_sum_rule(f"power n={n}")
         yield n, spec

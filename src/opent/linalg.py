@@ -103,5 +103,5 @@ def unitarity_residual(u) -> float:
         g = a[:, rows].conj().T @ a  # rows `rows` of a^dag a
         np.einsum("ii->i", g[:, rows])[...] -= 1  # takes 1 off the diagonal (a writeable view) in place
         return np.abs(g).max()
-    layers = u.reshape(-1, *u.shape[-2:])
-    return float(np.max([defect(a, rows) for a in layers for rows in row_bands(len(a))]))
+    layers = u.reshape(int(np.prod(u.shape[:-2])), *u.shape[-2:])  # an empty matrix has no defect
+    return float(np.max([defect(a, rows) for a in layers for rows in row_bands(len(a))], initial=0.0))

@@ -21,7 +21,8 @@ each a matrix of its own size, from a factored realigned matrix, in row
 bands, through those views; `parity_gather` copies the four flip blocks out
 through them, in row bands too, and `schmidt_spectrum` takes their singular
 values, a sixteenth of the work of one SVD, never forming the full operator.
-Local unitaries may first move an operator into such a basis.
+Local unitaries may first move an operator into such a basis. On two copies
+of one space, `exchange` splits the parity blocks once more.
 
 A diagonal operator U = diag(phi) may be passed as the vector phi of its
 n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
@@ -113,27 +114,31 @@ def _parity_layout(l1, l2):
 
     With r = outer(l1, l2) > 0 over u's rows, block 0 is u[r][:, r] and block 1 u[~r][:, ~r], of
     `sizes` = (|r|, |~r|) rows. The labels alternate (l[a] l[b] = 1 iff a = b mod 2), so two
-    consecutive a hold M rows of each block: the rows (a, c), a in a0::2, c in c0::2, lie at
+    consecutive a hold M rows of each block, a slab: the rows (a, c), a in a0::2, c in c0::2, lie at
     a0 ((M + c0) // 2) + M (a // 2) + c // 2 of one block. view(blocks, a0, b0, c0, d0) is the
     (a // 2, b // 2, c // 2, d // 2) strided view of x[(a, b), (c, d)] = u[(a, c), (b, d)] in the
-    block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0].
+    block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0]. With `slab`, `blocks` hold only the M
+    rows of one slab, each at full width, and the view's a // 2 axis holds that slab's a alone.
     """
     if any(np.any(labels[1:] != -labels[:-1]) for labels in (l1, l2)):  # the views assume it
         raise ValueError("parity labels must alternate in sign")
     r = np.outer(l1, l2) > 0
     (n, m), sizes = r.shape, (np.count_nonzero(r), np.count_nonzero(~r))
 
-    def view(blocks, a0, b0, c0, d0):
-        if (shapes := [np.shape(block) for block in blocks]) != [(size, size) for size in sizes]:
+    def view(blocks, a0, b0, c0, d0, slab=False):
+        rows = (m, m) if slab else sizes
+        if (shapes := [np.shape(block) for block in blocks]) != [*zip(rows, sizes)]:
             raise ValueError(f"blocks of shapes {shapes} do not match their labels' sizes {sizes}")
         block, h = blocks[int(not r[a0, c0])], sizes[int(not r[a0, c0])]
         shape = [(k - k0 + 1) // 2 for k, k0 in zip((n, n, m, m), (a0, b0, c0, d0))]
+        if slab:
+            shape[0] = 1
         corner, item = a0 * (m + c0) // 2 * h + b0 * (m + d0) // 2, block.itemsize  # numpy refuses a block not in C order
         return np.ndarray(shape, block.dtype, block, item * corner, [item * m * h, item * m, item * h, item])
     return sizes, view
 
 
-def band_stack(left, right, l1, l2) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+def band_stack(left, right, l1, l2) -> tuple[list[np.ndarray], float]:
     """The two parity blocks (`_parity_layout`) of u from x = left @ right, and max |u| off them.
 
     x[(a, b), (c, d)] = u[(a, c), (b, d)] is u realigned. Its rows go in bands, each of one label
@@ -143,7 +148,7 @@ def band_stack(left, right, l1, l2) -> tuple[tuple[np.ndarray, np.ndarray], floa
     """
     sizes, view = _parity_layout(l1, l2)
     (n, m), off = (len(l1), len(l2)), []
-    blocks = tuple(np.empty((size, size), complex) for size in sizes)  # views fill them
+    blocks = [np.empty((size, size), complex) for size in sizes]  # views fill them
     left = np.reshape(left, (n, n, -1))
     for a0 in (0, 1):
         for rows in row_bands(len(left[a0::2])):  # each band has at least n >= 2 rows: a gemm
@@ -155,6 +160,46 @@ def band_stack(left, right, l1, l2) -> tuple[tuple[np.ndarray, np.ndarray], floa
                 else:
                     off.append(np.abs(piece).max())
     return blocks, float(np.max(off))
+
+
+def _flip_plan(n, m, band_key):
+    """The four flip blocks' row runs, grouped into bands by band_key(rows)(run), and their columns.
+
+    A run (r, a0, a // 2, b // 2, count) is the flip block's rows r, r + 1, ..., r + count - 1, the
+    pairs (a, b), (a, b + 2), ... of one a. Per parity (1 first), the flip-even then the flip-odd
+    block: (bands, cols, flipped, combine, rho1, rho2), each band (lo, hi, runs).
+    """
+    def pairs(size, offset):  # (a, b), b = a + offset, a + offset + 2, ... below size, by a, then b
+        return np.array([(a, b) for a in range(size) for b in range(a + offset, size, 2)], int).reshape(-1, 2).T
+
+    h, flips = (m + 1) // 2, [[], []]  # parity 1 (a + b even): a <= b, then a < b; parity -1: a < b twice
+    for odd, offset, combine in (0, 0, np.add), (0, 2, np.subtract), (1, 1, np.add), (1, 1, np.subtract):
+        (a, b), (c, d) = pairs(n, offset), pairs(m, offset)
+        starts = [*np.flatnonzero(b == a + offset).tolist(), len(a)]  # where each a's rows start
+        runs = [(r, a[r] % 2, a[r] // 2, b[r] // 2, end - r) for r, end in zip(starts, starts[1:])]
+        bands = ([*band] for _, band in itertools.groupby(runs, band_key(len(a))))
+        flips[odd].append(([(band[0][0], band[-1][0] + band[-1][-1], band) for band in bands],
+                           (c % 2 * h + c // 2) * h + d // 2, (d % 2 * h + d // 2) * h + c // 2, combine,
+                           np.where(a == b, np.sqrt(0.5), 1)[:, None], np.where(c == d, np.sqrt(0.5), 1)))
+    return flips
+
+
+def _flip_buffers(specs, m):
+    """A new flip block per spec, and one `part` for all: x's rows of a band, by (c % 2, c // 2, d // 2)."""
+    h, rows = (m + 1) // 2, max([hi - lo for bands, *_ in specs for lo, hi, _ in bands], default=0)
+    return [np.empty((len(rho1), len(cols)), complex) for _, cols, _, _, rho1, _ in specs], np.empty((rows, 2, h, h), complex)
+
+
+def _fill_band(y, part, grids, lo, hi, runs, cols, flipped, combine, rho1, rho2, slab=0):
+    """Rows lo:hi of flip block y: x's rows of the runs, copied run by run from the grids into
+    `part` (a // 2 less `slab`, for grids of one slab), then y's columns taken from them."""
+    for r, a0, i, k, count in runs:  # x's rows (a, b), (a, b + 2), ..., a class of (c, d) at a time
+        for c0, grid in enumerate(grids[a0]):
+            part[r - lo:r - lo + count, c0, :grid.shape[2], :grid.shape[3]] = grid[i - slab, k:k + count]
+    x, band = part[:hi - lo].reshape(hi - lo, -1), y[lo:hi]
+    x.take(cols, axis=1, out=band, mode="clip")  # clip: no buffered copy of `out`
+    combine(band, x.take(flipped, axis=1), out=band)
+    band *= rho1[lo:hi] * rho2
 
 
 def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarray]]:
@@ -170,40 +215,19 @@ def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
     run by run from the strided views of u's blocks (`_parity_layout`), then takes its columns.
     It keeps no block it yielded.
     """
-    (_, view), n, m = _parity_layout(l1, l2), len(l1), len(l2)
-    h = (m + 1) // 2  # a row of `part`: x's row by (c % 2, c // 2, d // 2), padded to (2, h, h)
+    (_, view), m = _parity_layout(l1, l2), len(l2)
+    flips = _flip_plan(len(l1), m, lambda rows: lambda run: run[0] * ROW_BANDS // rows)
 
-    def pairs(size, offset):  # (a, b), b = a + offset, a + offset + 2, ... below size, by a, then b
-        return np.array([(a, b) for a in range(size) for b in range(a + offset, size, 2)], int).reshape(-1, 2).T
-
-    flips = [[], []]  # parity 1 (a + b even): a <= b, then a < b; parity -1: a < b twice
-    for odd, offset, combine in (0, 0, np.add), (0, 2, np.subtract), (1, 1, np.add), (1, 1, np.subtract):
-        (a, b), (c, d) = pairs(n, offset), pairs(m, offset)
-        starts = [*np.flatnonzero(b == a + offset).tolist(), len(a)]  # where each a's rows start
-        runs = [(r, a[r] % 2, a[r] // 2, b[r] // 2, end - r) for r, end in zip(starts, starts[1:])]
-        bands = ([*band] for _, band in itertools.groupby(runs, lambda run: run[0] * ROW_BANDS // len(a)))
-        flips[odd].append(([(band[0][0], band[-1][0] + band[-1][-1], band) for band in bands],
-                           (c % 2 * h + c // 2) * h + d // 2, (d % 2 * h + d // 2) * h + c // 2, combine,
-                           np.where(a == b, np.sqrt(0.5), 1)[:, None], np.where(c == d, np.sqrt(0.5), 1)))
-
-    def flip(grids, bands, cols, flipped, combine, rho1, rho2):
-        y = np.empty((len(rho1), len(cols)), complex)
-        part = np.empty((max([hi - lo for lo, hi, _ in bands], default=0), 2, h, h), complex)
-        targets = [part[:, k, :grid.shape[2], :grid.shape[3]] for k, grid in enumerate(grids[0])]
-        for lo, hi, runs in bands:  # `part` holds x's rows of the band
-            for r, a0, i, k, count in runs:  # x's rows (a, b), (a, b + 2), ..., a class of (c, d) at a time
-                for target, grid in zip(targets, grids[a0]):
-                    target[r - lo:r - lo + count] = grid[i, k:k + count]
-            x, band = part[:hi - lo].reshape(hi - lo, -1), y[lo:hi]
-            x.take(cols, axis=1, out=band, mode="clip")  # clip: no buffered copy of `out`
-            combine(band, x.take(flipped, axis=1), out=band)
-            band *= rho1[lo:hi] * rho2
+    def flip(grids, spec):
+        (y,), part = _flip_buffers([spec], m)
+        for band in spec[0]:
+            _fill_band(y, part, grids, *band, *spec[1:])
         return y
 
     def gather(blocks):
         for odd in (0, 1):
             grids = [[view(blocks, a0, a0 ^ odd, c0, c0 ^ odd) for c0 in (0, 1)] for a0 in (0, 1)]
-            yield from (flip(grids, *spec) for spec in flips[odd])
+            yield from (flip(grids, spec) for spec in flips[odd])
     return gather
 
 

@@ -91,6 +91,41 @@ def copy_gather(l1, l2):
     return gather
 
 
+def exchange_basis(labels) -> list[tuple[np.ndarray, int]]:
+    """The dense oracle for exchange sectors, built without `schmidt._exchange_layout`.
+
+    Per parity block (`parity_stack`) of two copies of one space of these labels: an orthogonal
+    matrix of the exchange-even vectors (e_ac + e_ca) / |.| (a <= c), then of the exchange-odd
+    ones (e_ac - e_ca) / sqrt(2) (a < c), each in the block's row order; and the even count.
+    """
+    r = np.outer(labels, labels) > 0
+    bases = []
+    for mask in (r, ~r):
+        rows = [*zip(*np.nonzero(mask))]  # the block's rows (a, c), in order
+        position = {pair: q for q, pair in enumerate(rows)}
+        columns = []
+        for sign in (1, -1):
+            for a, c in rows:
+                if a < c or (a == c and sign > 0):
+                    col = np.zeros(len(rows))
+                    col[position[a, c]] += 1
+                    col[position[c, a]] += sign
+                    columns.append(col / np.linalg.norm(col))
+        bases.append((np.array(columns).T, sum(a <= c for a, c in rows)))
+    return bases
+
+
+def random_exchange_unitary(rng: np.random.Generator, labels) -> tuple[np.ndarray, ...]:
+    """Parity blocks of a random unitary on two copies of one space that commutes with the
+    parity diag(labels) x diag(labels) and with the exchange: a random unitary per sector."""
+    blocks = []
+    for p, even in exchange_basis(labels):
+        d = np.zeros((len(p), len(p)), dtype=np.complex128)
+        d[:even, :even], d[even:, even:] = random_unitary(rng, even), random_unitary(rng, len(p) - even)
+        blocks.append(p @ d @ p.T)
+    return tuple(blocks)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = random_complex(rng, dim, dim)
     return (a + a.conj().T) / 2

@@ -320,6 +320,15 @@ SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     window=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 5)),
 )
 @example(spins=(1.0, 1.5), k1=6.0, k2=2.0, eps=1.0, window=(6, 4, 7))  # 6, 10, ..., 30: start off the step
+# identical tops, powered in exchange sectors: windows on their step (3, 6, ...) and off it (5, 8, ...);
+# at j = 1/2 one sector is 0 x 0
+@example(spins=(0.5, 0.5), k1=3.0, k2=3.0, eps=0.7, window=(3, 3, 5))
+@example(spins=(0.5, 0.5), k1=3.0, k2=3.0, eps=0.7, window=(5, 3, 5))
+@example(spins=(2.5, 2.5), k1=5.0, k2=5.0, eps=1.0, window=(3, 3, 5))
+@example(spins=(2.5, 2.5), k1=5.0, k2=5.0, eps=1.0, window=(5, 3, 5))
+@example(spins=(3.0, 3.0), k1=6.0, k2=6.0, eps=0.3, window=(3, 3, 5))
+@example(spins=(3.0, 3.0), k1=6.0, k2=6.0, eps=0.3, window=(5, 3, 5))
+@example(spins=(2.5, 2.5), k1=5.0, k2=4.0, eps=1.0, window=(3, 3, 5))  # unequal kicks: parity blocks
 @settings(max_examples=25, deadline=None)
 def test_kicked_spectra_match_matrix_powers(spins, k1, k2, eps, window):
     start, stride, count = window

@@ -24,6 +24,7 @@ import opent
 from opent import kickedtop
 from opent.kickedtop import DRIFT_TOL, kick_phases, parity_floquet, power_sequence
 from opent.linalg import hs_inner, kron, row_bands, unitarity_residual
+from opent.exchange import exchange_sectors
 from opent.schmidt import band_stack, realign
 from opent.spin import jy, parity_basis
 from opent.states import product_basis_state
@@ -215,8 +216,9 @@ def test_floquet_commutes_with_its_parity(j1, j2):
     assert np.abs(u @ r - r @ u).max() < 1e-12
 
 
-def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
-    p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
+@pytest.mark.parametrize("spins", [(1, 1.5), (1.5, 1.5)])
+def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch, spins):
+    p = KickedTopParams(*spins, 6.0, 6.0, 1.0)
     g = kick_phases(p)
     m1, m2 = p.top1.m_values(), p.top2.m_values()
     odd = g * np.exp(-0.7j * np.add.outer(m1, m2))  # R maps exp(-i p (m1 + m2)) to exp(+i p (m1 + m2))
@@ -224,6 +226,36 @@ def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
         monkeypatch.setattr(kickedtop, "kick_phases", lambda params: bad)
         with pytest.raises(RuntimeError, match="breaks the parity .* at U_T in the parity basis"):
             next(kickedtop.kicked_spectra(p, range(1, 3)))
+
+
+def test_kicked_spectra_reject_identical_tops_that_break_their_exchange(monkeypatch):
+    p = KickedTopParams(1.5, 1.5, 6.0, 6.0, 1.0)
+    g = kick_phases(p)
+    m = p.top1.m_values()
+    uneven = g * np.exp(-0.7j * np.subtract.outer(m**2, m**2))  # top 1 kicked harder, parity kept
+    monkeypatch.setattr(kickedtop, "kick_phases", lambda params: uneven)
+    with pytest.raises(RuntimeError, match="breaks the exchange of two identical tops: residual "
+                                           ".* at U_T in the parity basis"):
+        next(kickedtop.kicked_spectra(p, range(1, 3)))
+
+
+@pytest.mark.parametrize("spins, kicks, sectors", [((1.5, 1.5), (6.0, 6.0), True), ((0.5, 0.5), (3.0, 3.0), True),
+                                                   ((1.5, 1.5), (6.0, 5.0), False), ((1.0, 1.5), (6.0, 6.0), False)])
+def test_kicked_spectra_power_the_exchange_sectors_of_identical_tops_alone(monkeypatch, spins, kicks, sectors):
+    sizes = []
+    real = kickedtop.power_sequence
+
+    def sizing(u, ns):
+        sizes.append(len(u))
+        return real(u, ns)
+
+    monkeypatch.setattr(kickedtop, "power_sequence", sizing)
+    p = KickedTopParams(*spins, *kicks, 1.0)
+    assert [n for n, _ in kickedtop.kicked_spectra(p, range(2, 9, 3))] == [2, 5, 8]
+    blocks, _, labels, _ = parity_floquet(p)
+    expected = exchange_sectors([*blocks], labels)[0] if sectors else blocks
+    assert sizes == [len(block) for block in expected]
+    assert not sectors or 0 < sum(sizes) == sum(map(len, blocks)) and len(sizes) == 4
 
 
 def test_kicked_spectra_reject_an_operator_that_is_not_symmetric(monkeypatch):
@@ -237,9 +269,10 @@ def test_kicked_spectra_reject_an_operator_that_is_not_symmetric(monkeypatch):
         next(kickedtop.kicked_spectra(p, range(1, 3)))
 
 
-def test_kicked_spectra_check_every_power_is_symmetric(monkeypatch):
+@pytest.mark.parametrize("spins", [(1, 1.5), (1.5, 1.5)])  # parity blocks, then exchange sectors
+def test_kicked_spectra_check_every_power_is_symmetric(monkeypatch, spins):
     real = kickedtop.power_sequence
-    p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
+    p = KickedTopParams(*spins, 6.0, 6.0, 1.0)
 
     def skewed(stack, ns):  # the power at n = 7 loses its symmetry, not its unitarity
         for s in real(stack, ns):
@@ -251,7 +284,8 @@ def test_kicked_spectra_check_every_power_is_symmetric(monkeypatch):
         list(kickedtop.kicked_spectra(p, range(3, 12, 2)))
 
 
-def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
+@pytest.mark.parametrize("spins, kicks", [((1, 1.5), (6.0, 3.0)), ((1.5, 1.5), (6.0, 6.0))])
+def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch, spins, kicks):
     checked = []
 
     def counting(u):
@@ -259,17 +293,18 @@ def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
         return unitarity_residual(u)
 
     monkeypatch.setattr(kickedtop, "unitarity_residual", counting)
-    p = KickedTopParams(1, 1.5, 6.0, 3.0, 1.0)
-    blocks = parity_floquet(p)[0]
+    p = KickedTopParams(*spins, *kicks, 1.0)
+    blocks, _, labels, _ = parity_floquet(p)
+    blocks = exchange_sectors([*blocks], labels)[0] if spins[0] == spins[1] else blocks  # identical tops
     for ns in (range(15, 28, 3), range(5, 30, 4)):  # the second starts off its step
         checked.clear()
         got = [n for n, _ in kickedtop.kicked_spectra(p, ns)]
         assert got == list(ns)
         # per block a Gram product for the step, the first and the last power, none in between;
         # the blocks' streams run in lockstep, so their first draws come before the last ones
-        assert len(checked) == 6
-        order = [(0, ns.step), (0, ns.start), (1, ns.step), (1, ns.start), (0, ns[-1]), (1, ns[-1])]
-        for gram, (block, n) in zip(checked, order):
+        assert len(checked) == 3 * len(blocks)
+        order = [(block, n) for block in range(len(blocks)) for n in (ns.step, ns.start)]
+        for gram, (block, n) in zip(checked, order + [(block, ns[-1]) for block in range(len(blocks))]):
             np.testing.assert_allclose(gram, np.linalg.matrix_power(blocks[block], n), rtol=0, atol=1e-12)
 
 
@@ -296,23 +331,30 @@ def test_checks_fail_when_only_the_last_layer_or_band_is_nan():
 
 def test_kicked_spectra_stream_in_bounded_memory():
     # numpy's traced peak over a whole call, the build of U_T included, in stacks: the two
-    # parity blocks' nbytes together. On its step the stream holds each block's step and running
-    # power, a flip block and a row band of temporaries: 2.36-2.38 stacks here, where the gather's
+    # parity blocks' nbytes together. np.linalg.svd's LAPACK copy of the flip block it works on,
+    # up to an eighth of a stack, is made by malloc and is not traced; it comes on top of each.
+    # For two tops of other spins, on its step the stream holds each block's step and running
+    # power, a flip block and a row band of temporaries: 2.36 stacks here, where the gather's
     # index vectors still weigh. A window that starts at a higher power of its step makes that
     # power while the step is held (2.52 stacks), and off its step each block's first power is
     # made while that block is held: 2.52 stacks on (2, 35, 8) and 3.02 on (12, 60, 8).
-    p = KickedTopParams(5, 7.5, 6.0, 6.0, 1.0)
-    stack_bytes = sum(block.nbytes for block in parity_floquet(p)[0])
-    windows = ((range(8, 41, 8), 2.45), (range(5, 51, 5), 2.45), (range(200, 1001, 40), 2.6),
-               (range(2, 35, 8), 2.6), (range(12, 60, 8), 3.05))
-    for ns, bound in windows:
-        tracemalloc.start()
-        try:
-            assert [n for n, _ in kickedtop.kicked_spectra(p, ns)] == list(ns)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * stack_bytes, (ns, peak / stack_bytes)
+    # Identical tops power four exchange sectors, half a stack in all, and hold the two flip
+    # blocks of one parity and a slab of rebuilt rows: 1.71 stacks on (5, 51, 5) and 1.68 on
+    # (40, 105, 8) at j = 7.5, where a slab is an eighth of a stack.
+    cases = [((5, 7.5), ((range(8, 41, 8), 2.45), (range(5, 51, 5), 2.45), (range(200, 1001, 40), 2.6),
+                         (range(2, 35, 8), 2.6), (range(12, 60, 8), 3.05))),
+             ((7.5, 7.5), ((range(5, 51, 5), 1.75), (range(40, 105, 8), 2.0)))]
+    for spins, windows in cases:
+        p = KickedTopParams(*spins, 6.0, 6.0, 1.0)
+        stack_bytes = sum(block.nbytes for block in parity_floquet(p)[0])
+        for ns, bound in windows:
+            tracemalloc.start()
+            try:
+                assert [n for n, _ in kickedtop.kicked_spectra(p, ns)] == list(ns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * stack_bytes, (spins, ns, peak / stack_bytes)
 
 
 @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3), dim=st.integers(1, 6))

@@ -119,6 +119,8 @@ def test_expi_angle_additivity(rng):
 def test_unitarity_residual_examples():
     assert linalg.unitarity_residual(np.eye(4)) == 0
     assert linalg.unitarity_residual(2 * np.eye(2)) == pytest.approx(3)
+    # an exchange sector can be 0 x 0 (identical spins 1/2): it has no defect
+    assert linalg.unitarity_residual(np.zeros((0, 0))) == linalg.unitarity_residual(np.zeros((2, 0, 0))) == 0
 
 
 def test_unitarity_residual_of_a_stack():

@@ -21,10 +21,11 @@ from opent import (
 )
 from opent.kickedtop import product_rotation
 from opent.linalg import hs_inner, kron
+from opent.exchange import exchange_sectors, sector_gather
 from opent.schmidt import band_stack, parity_gather
 from opent.spin import parity_basis
-from conftest import (CNOT, copy_gather, parity_stack, random_complex, random_parity_unitary,
-                      random_unitary, swap_operator)
+from conftest import (CNOT, copy_gather, exchange_basis, parity_stack, random_complex,
+                      random_exchange_unitary, random_parity_unitary, random_unitary, swap_operator)
 
 D22 = BipartitionDims(2, 2)
 
@@ -273,6 +274,55 @@ def test_parity_gather_equals_the_copying_gather_bit_for_bit(spins):
     assert len(got) == len(expected) == 4
     for block, expected_block in zip(got, expected):
         assert block.shape == expected_block.shape and np.array_equal(block, expected_block)
+
+
+def _symmetric_exchange_unitary(j, seed):
+    """b b^T for a random unitary b that commutes with the parity and the exchange of two spins j:
+    the parity blocks of a unitary as `kickedtop.parity_floquet` builds it for identical tops."""
+    labels = parity_basis(SpinSystem.from_j(j))[1]
+    b = random_exchange_unitary(np.random.default_rng(seed), labels)
+    return [block @ block.T for block in b], labels
+
+
+@pytest.mark.parametrize("j", SPINS + (7.5,))
+def test_exchange_sectors_rebuild_both_parity_blocks(j):
+    blocks, labels = _symmetric_exchange_unitary(j, 19)
+    sectors, defect = exchange_sectors([*blocks], labels)
+    assert defect < 1e-15 and len(sectors) == 4
+    for block, (p, even), pair in zip(blocks, exchange_basis(labels), (sectors[:2], sectors[2:])):
+        assert [len(sector) for sector in pair] == [even, len(p) - even]
+        expected = p.T @ block @ p  # the sectors, on the diagonal
+        np.testing.assert_allclose(pair[0], expected[:even, :even], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pair[1], expected[even:, even:], rtol=0, atol=1e-15)
+        rebuilt = p[:, :even] @ pair[0] @ p[:, :even].T + p[:, even:] @ pair[1] @ p[:, even:].T
+        np.testing.assert_allclose(rebuilt, block, rtol=0, atol=1e-15)
+        for sector in pair:
+            np.testing.assert_allclose(sector, sector.T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(sector.conj().T @ sector, np.eye(len(sector)), rtol=0, atol=1e-14)
+
+
+def test_exchange_sectors_measure_a_broken_exchange():
+    blocks, labels = _symmetric_exchange_unitary(1.5, 23)
+    r = np.outer(labels, labels) > 0
+    a, c = np.nonzero(r)
+    broken = [blocks[0] * np.exp(0.3j * (a - c))[:, None], blocks[1]]  # row (a, c) differs from (c, a)
+    assert exchange_sectors(broken, labels)[1] > 0.1
+    assert broken == []  # each block was taken out once split
+    assert np.isnan(exchange_sectors([blocks[0], np.full_like(blocks[1], np.nan)], labels)[1])
+
+
+@pytest.mark.parametrize("j", SPINS + (7.5,))
+def test_sector_gather_equals_the_parity_gather(j):
+    # the flip blocks from the four sectors, u's rows rebuilt a slab at a time, against those from
+    # u's two parity blocks; at j = 1/2 the exchange-odd sector of parity +1 is 0 x 0
+    blocks, labels = _symmetric_exchange_unitary(j, 29)
+    sectors, _ = exchange_sectors([*blocks], labels)
+    assert j != 0.5 or sectors[1].shape == (0, 0)
+    got, expected = list(sector_gather(labels)(sectors)), list(parity_gather(labels, labels)(blocks))
+    assert len(got) == len(expected) == 4
+    for block, expected_block in zip(got, expected):
+        assert block.shape == expected_block.shape
+        np.testing.assert_allclose(block, expected_block, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("l1, l2", [([1.0, 1.0, -1.0], [1.0, -1.0]), ([1.0, -1.0], [-1.0, 1.0, 1.0])])
