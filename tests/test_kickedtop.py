@@ -216,16 +216,16 @@ def test_floquet_commutes_with_its_parity(j1, j2):
     assert np.abs(u @ r - r @ u).max() < 1e-12
 
 
-@pytest.mark.parametrize("spins", [(1, 1.5), (1.5, 1.5)])
-def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch, spins):
-    p = KickedTopParams(*spins, 6.0, 6.0, 1.0)
-    g = kick_phases(p)
-    m1, m2 = p.top1.m_values(), p.top2.m_values()
-    odd = g * np.exp(-0.7j * np.add.outer(m1, m2))  # R maps exp(-i p (m1 + m2)) to exp(+i p (m1 + m2))
-    for bad in (odd, np.full_like(g, np.nan)):
-        monkeypatch.setattr(kickedtop, "kick_phases", lambda params: bad)
-        with pytest.raises(RuntimeError, match="breaks the parity .* at U_T in the parity basis"):
-            next(kickedtop.kicked_spectra(p, range(1, 3)))
+def test_kicked_spectra_reject_an_operator_that_breaks_parity(monkeypatch):
+    for spins in ((1, 1.5), (1.5, 1.5)):  # parity blocks, then exchange sectors
+        p = KickedTopParams(*spins, 6.0, 6.0, 1.0)
+        g = kick_phases(p)
+        m1, m2 = p.top1.m_values(), p.top2.m_values()
+        odd = g * np.exp(-0.7j * np.add.outer(m1, m2))  # R maps exp(-i p (m1 + m2)) to exp(+i p (m1 + m2))
+        for bad in (odd, np.full_like(g, np.nan)):
+            monkeypatch.setattr(kickedtop, "kick_phases", lambda params: bad)
+            with pytest.raises(RuntimeError, match="breaks the parity .* at U_T in the parity basis"):
+                next(kickedtop.kicked_spectra(p, range(1, 3)))
 
 
 def test_kicked_spectra_reject_identical_tops_that_break_their_exchange(monkeypatch):
@@ -269,10 +269,8 @@ def test_kicked_spectra_reject_an_operator_that_is_not_symmetric(monkeypatch):
         next(kickedtop.kicked_spectra(p, range(1, 3)))
 
 
-@pytest.mark.parametrize("spins", [(1, 1.5), (1.5, 1.5)])  # parity blocks, then exchange sectors
-def test_kicked_spectra_check_every_power_is_symmetric(monkeypatch, spins):
+def test_kicked_spectra_check_every_power_is_symmetric(monkeypatch):
     real = kickedtop.power_sequence
-    p = KickedTopParams(*spins, 6.0, 6.0, 1.0)
 
     def skewed(stack, ns):  # the power at n = 7 loses its symmetry, not its unitarity
         for s in real(stack, ns):
@@ -280,12 +278,12 @@ def test_kicked_spectra_check_every_power_is_symmetric(monkeypatch, spins):
             yield s._replace(matrix=s.matrix @ kick) if s.n == 7 else s
 
     monkeypatch.setattr(kickedtop, "power_sequence", skewed)
-    with pytest.raises(RuntimeError, match="transpose defect .* at power n=7"):
-        list(kickedtop.kicked_spectra(p, range(3, 12, 2)))
+    for spins in ((1, 1.5), (1.5, 1.5)):  # parity blocks, then exchange sectors
+        with pytest.raises(RuntimeError, match="transpose defect .* at power n=7"):
+            list(kickedtop.kicked_spectra(KickedTopParams(*spins, 6.0, 6.0, 1.0), range(3, 12, 2)))
 
 
-@pytest.mark.parametrize("spins, kicks", [((1, 1.5), (6.0, 3.0)), ((1.5, 1.5), (6.0, 6.0))])
-def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch, spins, kicks):
+def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch):
     checked = []
 
     def counting(u):
@@ -293,19 +291,20 @@ def test_kicked_spectra_check_unitarity_only_from_the_window_start(monkeypatch, 
         return unitarity_residual(u)
 
     monkeypatch.setattr(kickedtop, "unitarity_residual", counting)
-    p = KickedTopParams(*spins, *kicks, 1.0)
-    blocks, _, labels, _ = parity_floquet(p)
-    blocks = exchange_sectors([*blocks], labels)[0] if spins[0] == spins[1] else blocks  # identical tops
-    for ns in (range(15, 28, 3), range(5, 30, 4)):  # the second starts off its step
-        checked.clear()
-        got = [n for n, _ in kickedtop.kicked_spectra(p, ns)]
-        assert got == list(ns)
-        # per block a Gram product for the step, the first and the last power, none in between;
-        # the blocks' streams run in lockstep, so their first draws come before the last ones
-        assert len(checked) == 3 * len(blocks)
-        order = [(block, n) for block in range(len(blocks)) for n in (ns.step, ns.start)]
-        for gram, (block, n) in zip(checked, order + [(block, ns[-1]) for block in range(len(blocks))]):
-            np.testing.assert_allclose(gram, np.linalg.matrix_power(blocks[block], n), rtol=0, atol=1e-12)
+    for p in (KickedTopParams(1, 1.5, 6.0, 3.0, 1.0), KickedTopParams(1.5, 1.5, 6.0, 6.0, 1.0)):
+        blocks, _, labels, _ = parity_floquet(p)
+        blocks = exchange_sectors([*blocks], labels)[0] if p.j1 == p.j2 else blocks  # identical tops
+        for ns in (range(15, 28, 3), range(5, 30, 4)):  # the second starts off its step
+            checked.clear()
+            got = [n for n, _ in kickedtop.kicked_spectra(p, ns)]
+            assert got == list(ns)
+            # per block a Gram product for the step, the first and the last power, none in between;
+            # the blocks' streams run in lockstep, so their first draws come before the last ones
+            order = [(block, n) for block in range(len(blocks)) for n in (ns.step, ns.start)]
+            order += [(block, ns[-1]) for block in range(len(blocks))]
+            assert len(checked) == len(order)
+            for gram, (block, n) in zip(checked, order):
+                np.testing.assert_allclose(gram, np.linalg.matrix_power(blocks[block], n), rtol=0, atol=1e-12)
 
 
 def test_checks_fail_when_only_the_last_layer_or_band_is_nan():
