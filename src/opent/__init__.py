@@ -9,13 +9,12 @@ import importlib
 # submodule -> the public names it defines
 _EXPORTS = {
     "linalg": ("kron",),
-    "kickedtop": ("KickedTopParams", "UnitarityDriftError", "diagonal_coupling", "floquet",
-                  "product_rotation"),
+    "kickedtop": ("KickedTopParams", "UnitarityDriftError", "floquet"),
     "rmt": ("LaguerreLaw", "fit_distance", "histogram", "laguerre_bounds", "laguerre_density",
             "saturation_estimate"),
     "schmidt": ("BipartitionDims", "SchmidtSpectrum", "operator_entanglement", "realign",
                 "reshape_vec", "schmidt_spectrum", "slin", "svn"),
-    "spin": ("SpinSystem", "basis_state", "jx", "jy", "jz"),
+    "spin": ("SpinSystem", "basis_state", "diagonal_coupling", "jx", "jy", "jz", "product_rotation"),
     "states": ("PureState", "partial_trace_1", "partial_trace_2", "phi_p_state", "phi_state",
                "product_basis_state", "state_entropy"),
 }

@@ -292,9 +292,8 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
     spectrum, and that of the product rotation in the closing comment, must
     meet the sum rule.
     """
-    from .kickedtop import check_phase, rotation_phases, zz_phases
     from .schmidt import BipartitionDims, schmidt_spectrum, slin, svn
-    from .spin import SpinSystem
+    from .spin import SpinSystem, check_phase, rotation_phases, zz_phases
 
     alphas = list(alpha_values)
     if not alphas:

@@ -11,20 +11,19 @@ stays in that basis.
 
 U_T commutes with the parity R = exp(-i pi Jy_1) x exp(-i pi Jy_2): R maps
 m to -m on each top, which leaves the torsions Jz^2, the coupling Jz_1 Jz_2
-and the precession about y unchanged. In the local Jy eigenbases R is
-diagonal, so U_T splits into two parity blocks: `parity_floquet` builds a
-symmetric local-unitary conjugate of U_T, which has its Schmidt spectra in
-every power, straight into them, two matrices each of its own size. Two
-identical tops (j1 = j2, k1 = k2) also commute with their exchange, so each
-parity block splits once more into an exchange-even and an exchange-odd
-sector, four matrices of half the bytes in all (`exchange.exchange_sectors`).
-`power_sequence` powers a matrix over a range of exponents, each product in
-place, and certifies each power's unitarity by a rounding bound or a Gram
-product. `kicked_spectra`, the one stream of Schmidt spectra of U_T^n shared
-by the `sweep` and `spectrum` commands, powers the blocks, or the sectors, in
-lockstep and takes each spectrum from the four realigned flip blocks of their
-powers. With its build, a call on its step holds under 2.45 times the two
-parity blocks' bytes, or 1.75 times for identical tops.
+and the precession about y unchanged. R is diagonal in the local Jy
+eigenbases, where `parity_floquet` builds a symmetric local-unitary
+conjugate of U_T, which has its Schmidt spectra in every power, straight
+into its two parity blocks; identical tops (j1 = j2, k1 = k2) also commute
+with their exchange, and their blocks split into four exchange sectors.
+`blocks` owns both layouts. `power_sequence` powers a matrix over a range
+of exponents, each product in place, and certifies each power's unitarity
+by a rounding bound or a Gram product. `kicked_spectra`, the one stream of
+Schmidt spectra of U_T^n shared by the `sweep` and `spectrum` commands,
+powers the blocks, or the sectors, in lockstep and takes each spectrum from
+the four flip blocks that `blocks` gathers from their powers. With its
+build, a call on its step holds under 2.45 times the two parity blocks'
+bytes, or 1.75 times for identical tops.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .blocks import band_stack, exchange_sectors, parity_gather, sector_gather
 from .linalg import kron, matmul_in_place, row_bands, unitarity_residual
-from .exchange import exchange_sectors, sector_gather
-from .schmidt import BipartitionDims, SchmidtSpectrum, band_stack, parity_gather, schmidt_spectrum
-from .spin import SpinSystem, parity_basis
+from .schmidt import BipartitionDims, SchmidtSpectrum, schmidt_spectrum
+from .spin import SpinSystem, check_phase, parity_basis, zz_phases
 
 # Abort threshold for unitarity drift of the powers.
 DRIFT_TOL = 1e-8
@@ -55,14 +54,6 @@ class UnitarityDriftError(RuntimeError):
 
     def __str__(self) -> str:
         return f"unitarity residual {self.residual:.3e} exceeds {DRIFT_TOL:g} at power n={self.n}"
-
-
-def check_phase(name: str, value: float, per_unit: float, phase: str) -> None:
-    """Fail unless `value` and its largest phase |value| * per_unit, named `phase`, are finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value:g}")
-    if not math.isfinite(abs(value) * per_unit):
-        raise ValueError(f"{name}={value:g} overflows the largest {phase}")
 
 
 @dataclass(frozen=True)
@@ -99,26 +90,6 @@ class KickedTopParams:
         return SpinSystem.from_j(self.j2)
 
 
-def zz_phases(s1: SpinSystem, s2: SpinSystem, prefactor: float) -> np.ndarray:
-    """Diagonal of exp(-i prefactor Jz x Jz) in the product Jz basis."""
-    return np.exp(-1j * prefactor * np.outer(s1.m_values(), s2.m_values())).ravel()
-
-
-def diagonal_coupling(s1: SpinSystem, s2: SpinSystem, alpha: float) -> np.ndarray:
-    """exp(-i alpha Jz x Jz) with a bare prefactor (no 1/sqrt(j1 j2))."""
-    return np.diag(zz_phases(s1, s2, alpha))
-
-
-def rotation_phases(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
-    """Diagonal of exp(-i p Jz) x exp(-i p Jz) in the product Jz basis."""
-    return np.kron(np.exp(-1j * p * s1.m_values()), np.exp(-1j * p * s2.m_values()))
-
-
-def product_rotation(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
-    """exp(-i p Jz) x exp(-i p Jz): a non-entangling product of local rotations."""
-    return np.diag(rotation_phases(s1, s2, p))
-
-
 def kick_phases(p: KickedTopParams) -> np.ndarray:
     """N x M phases g[a, c] of coupling . (torsion1 x torsion2) at Jz values (m1_a, m2_c)."""
     s1, s2 = p.top1, p.top2
@@ -137,7 +108,7 @@ def floquet(p: KickedTopParams) -> np.ndarray:
 
 
 def parity_floquet(p: KickedTopParams) -> tuple[list[np.ndarray], float, np.ndarray, np.ndarray]:
-    """`schmidt.band_stack` of V = D^(1/2) (W^dag U_T W) D^(-1/2) in W = w1 x w2, and l1, l2.
+    """`blocks.band_stack` of V = D^(1/2) (W^dag U_T W) D^(-1/2) in W = w1 x w2, and l1, l2.
 
     (w_i, l_i) = `spin.parity_basis(top i)`. There exp(-i (pi/2) Jy) is the
     column phase D = exp(-i pi m / 2), so W^dag U_T W = (W^dag G W) D with
@@ -164,7 +135,7 @@ class PowerSample(NamedTuple):
 
 
 def _power(held: list, n: int) -> np.ndarray:
-    """u^n (n >= 1) as a new array, u = held.pop(), by np.linalg.matrix_power's products in its order.
+    """u^n (n >= 1) of the matrix u = held.pop(), as a new array, by matrix_power's products in its order.
 
     So the bits are matrix_power's. u is never written; taken out of `held`, it goes at the first
     square that the result does not hold, in a caller that kept no reference to it.

@@ -78,30 +78,29 @@ def row_bands(h: int, least: int = 1) -> list[slice]:
 
 
 def matmul_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b written over a (a matrix or a stack of them) by row bands, and returned.
+    """a @ b written over the matrix a by row bands, and returned.
 
     Only one band of the product is held at a time. Each band has at least two rows, unless a
     has one: numpy takes a one-row band as a gemv, which could round otherwise than the gemm of
     the whole product.
     """
-    for rows in row_bands(a.shape[-2], least=2):
-        a[..., rows, :] = a[..., rows, :] @ b
+    for rows in row_bands(len(a), least=2):
+        a[rows] = a[rows] @ b
     return a
 
 
 def unitarity_residual(u) -> float:
-    """Max-norm of u^dag u - I over a matrix or a stack (..., n, n) of them.
+    """Max-norm of u^dag u - I over a square matrix u.
 
     A drift monitor for repeated products, one Gram product per call;
     `kickedtop.power_sequence` calls it only where its rounding bound cannot
-    certify a power. A stack goes a layer and a row band at a time; np.max keeps a nan in any.
+    certify a power. It goes a row band at a time; np.max keeps a nan in any.
     """
     u = np.asarray(u, dtype=np.complex128)
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got {u.shape}")
-    def defect(a: np.ndarray, rows: slice) -> float:
-        g = a[:, rows].conj().T @ a  # rows `rows` of a^dag a
+    def defect(rows: slice) -> float:
+        g = u[:, rows].conj().T @ u  # rows `rows` of u^dag u
         np.einsum("ii->i", g[:, rows])[...] -= 1  # takes 1 off the diagonal (a writeable view) in place
         return np.abs(g).max()
-    layers = u.reshape(int(np.prod(u.shape[:-2])), *u.shape[-2:])  # an empty matrix has no defect
-    return float(np.max([defect(a, rows) for a in layers for rows in row_bands(len(a))], initial=0.0))
+    return float(np.max([defect(rows) for rows in row_bands(len(u))], initial=0.0))  # 0 x 0: no defect

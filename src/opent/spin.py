@@ -5,6 +5,11 @@ Basis ordering is m = -j, -j+1, ..., +j ascending, so the array index of
 `parity_basis` gives the Jy eigenbasis, in which the pi rotation about y
 is diagonal, with phases chosen so that it is a diagonal phase times a real
 orthogonal matrix.
+
+Two spins meet in diagonal operators of their product Jz basis, each as its
+diagonal or as a matrix: exp(-i alpha Jz x Jz) and the product rotation
+exp(-i p Jz) x exp(-i p Jz). `check_phase` is the one rule that a coupling
+or kick keeps its largest phase finite.
 """
 
 from __future__ import annotations
@@ -95,3 +100,31 @@ def basis_state(s: SpinSystem, m: float) -> np.ndarray:
     vec = np.zeros((s.dim, 1), dtype=np.complex128)
     vec[k, 0] = 1.0
     return vec
+
+
+def check_phase(name: str, value: float, per_unit: float, phase: str) -> None:
+    """Fail unless `value` and its largest phase |value| * per_unit, named `phase`, are finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value:g}")
+    if not math.isfinite(abs(value) * per_unit):
+        raise ValueError(f"{name}={value:g} overflows the largest {phase}")
+
+
+def zz_phases(s1: SpinSystem, s2: SpinSystem, prefactor: float) -> np.ndarray:
+    """Diagonal of exp(-i prefactor Jz x Jz) in the product Jz basis."""
+    return np.exp(-1j * prefactor * np.outer(s1.m_values(), s2.m_values())).ravel()
+
+
+def diagonal_coupling(s1: SpinSystem, s2: SpinSystem, alpha: float) -> np.ndarray:
+    """exp(-i alpha Jz x Jz) with a bare prefactor (no 1/sqrt(j1 j2))."""
+    return np.diag(zz_phases(s1, s2, alpha))
+
+
+def rotation_phases(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
+    """Diagonal of exp(-i p Jz) x exp(-i p Jz) in the product Jz basis."""
+    return np.kron(np.exp(-1j * p * s1.m_values()), np.exp(-1j * p * s2.m_values()))
+
+
+def product_rotation(s1: SpinSystem, s2: SpinSystem, p: float) -> np.ndarray:
+    """exp(-i p Jz) x exp(-i p Jz): a non-entangling product of local rotations."""
+    return np.diag(rotation_phases(s1, s2, p))

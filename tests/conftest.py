@@ -9,7 +9,7 @@ default_to_one_blas_thread()  # as the CLI does, before numpy loads
 import numpy as np  # noqa: E402
 
 from opent.linalg import eigh, row_bands  # noqa: E402
-from opent.schmidt import _parity_layout  # noqa: E402
+from opent.blocks import _parity_layout  # noqa: E402
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -48,10 +48,10 @@ def parity_stack(u, l1, l2) -> tuple[tuple[np.ndarray, np.ndarray], float]:
 
 
 def copy_gather(l1, l2):
-    """The reference for `schmidt.parity_gather`: the same flip blocks, through whole parity blocks.
+    """The reference for `blocks.parity_gather`: the same flip blocks, through whole parity blocks.
 
     For each parity it copies the realigned parity block x of u from its four strided views
-    (`schmidt._parity_layout`) and takes each flip block from x's rows and columns by index
+    (`blocks._parity_layout`) and takes each flip block from x's rows and columns by index
     vectors over pairs, in row bands; so it holds a realigned parity block while it yields.
     """
     (_, view), n, m = _parity_layout(l1, l2), len(l1), len(l2)
@@ -92,7 +92,7 @@ def copy_gather(l1, l2):
 
 
 def exchange_basis(labels) -> list[tuple[np.ndarray, int]]:
-    """The dense oracle for exchange sectors, built without `schmidt._exchange_layout`.
+    """The dense oracle for exchange sectors, built without `blocks._exchange_layout`.
 
     Per parity block (`parity_stack`) of two copies of one space of these labels: an orthogonal
     matrix of the exchange-even vectors (e_ac + e_ca) / |.| (a <= c), then of the exchange-odd

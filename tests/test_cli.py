@@ -487,8 +487,9 @@ def test_import_and_saturation_load_no_numpy(code):
 
 def test_diagonal_loads_no_process_pool(tmp_path):
     code = (f"import sys, opent.cli; opent.cli.main(['diagonal', '--j1', '1', '--j2', '2', "
-            f"'--out', {str(tmp_path)!r}]); print('concurrent.futures' in sys.modules)")
-    assert fresh_python(code) == "False\n"
+            f"'--out', {str(tmp_path)!r}]); print('concurrent.futures' in sys.modules); "
+            f"print(sorted({{'opent.kickedtop', 'opent.blocks'}} & set(sys.modules)))")
+    assert fresh_python(code) == "False\n[]\n"
     assert (tmp_path / "diagonal.csv").exists()
 
 

@@ -24,8 +24,8 @@ import opent
 from opent import kickedtop
 from opent.kickedtop import DRIFT_TOL, kick_phases, parity_floquet, power_sequence
 from opent.linalg import hs_inner, kron, row_bands, unitarity_residual
-from opent.exchange import exchange_sectors
-from opent.schmidt import band_stack, realign
+from opent.blocks import band_stack, exchange_sectors
+from opent.schmidt import realign
 from opent.spin import jy, parity_basis
 from opent.states import product_basis_state
 from conftest import expi_hermitian, parity_stack, random_parity_unitary, random_unitary
@@ -197,17 +197,6 @@ def test_power_sequence_stride_and_bounds():
         list(power_sequence(np.eye(2), range(0, 1)))
 
 
-def test_power_sequence_powers_a_stack_side_by_side():
-    a = floquet(KickedTopParams(1, 1, 2.0, 2.0, 0.5))
-    b = floquet(KickedTopParams(1, 1, 3.0, 1.0, 0.3))
-    samples = kept(power_sequence(np.stack([a, b]), range(3, 7, 3)))
-    assert [s.n for s in samples] == [3, 6]
-    for s in samples:
-        for u, power in zip((a, b), s.matrix):
-            np.testing.assert_allclose(power, np.linalg.matrix_power(u, s.n), atol=1e-13)
-        assert max(unitarity_residual(m) for m in s.matrix) <= s.residual <= DRIFT_TOL
-
-
 @pytest.mark.parametrize("j1, j2", [(0.5, 0.5), (0.5, 1.0), (1.5, 2.0), (10, 10)])
 def test_floquet_commutes_with_its_parity(j1, j2):
     p = KickedTopParams(j1, j2, 6.0, 3.0, 1.0)
@@ -356,11 +345,10 @@ def test_kicked_spectra_stream_in_bounded_memory():
             assert peak <= bound * stack_bytes, (spins, ns, peak / stack_bytes)
 
 
-@given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3), dim=st.integers(1, 6))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
 @settings(max_examples=20, deadline=None)
-def test_binary_power_equals_matrix_power_bit_for_bit(seed, layers, dim):
-    rng = np.random.default_rng(seed)
-    u = np.stack([random_unitary(rng, dim) for _ in range(layers)])
+def test_binary_power_equals_matrix_power_bit_for_bit(seed, dim):
+    u = random_unitary(np.random.default_rng(seed), dim)
     before = u.copy()
     for n in range(1, 41):
         power = kickedtop._power([u], n)
@@ -371,7 +359,7 @@ def test_binary_power_equals_matrix_power_bit_for_bit(seed, layers, dim):
 
 @pytest.mark.parametrize("ns", [range(8, 41, 8), range(1, 12, 3), range(2, 35, 8), range(1, 5)])
 def test_power_sequence_leaves_its_input_unchanged(ns):
-    u = np.stack([random_unitary(np.random.default_rng(9), 4) for _ in range(2)])
+    u = random_unitary(np.random.default_rng(9), 4)
     before = u.copy()
     assert [s.n for s in power_sequence(u, ns)] == list(ns)
     np.testing.assert_array_equal(u, before)
@@ -392,15 +380,12 @@ def test_a_kept_power_is_overwritten_by_the_next_draw():
     assert "power_sequence" not in opent.__all__ and not hasattr(opent, "power_sequence")
 
 
-@given(seed=st.integers(0, 2**32 - 1), layers=st.integers(0, 2), h=st.integers(1, 12),
-       stride=st.integers(1, 3))
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 12), stride=st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
-def test_power_sequence_products_equal_whole_products_bit_for_bit(seed, layers, h, stride):
+def test_power_sequence_products_equal_whole_products_bit_for_bit(seed, h, stride):
     # on its step the first power is S itself, the first product makes S S, and each later one
     # is written over the running power by row bands: each must equal numpy's whole product
-    rng = np.random.default_rng(seed)
-    u = np.stack([random_unitary(rng, h) for _ in range(max(layers, 1))])
-    u = u[0] if layers == 0 else u
+    u = random_unitary(np.random.default_rng(seed), h)
     expected = step = np.linalg.matrix_power(u, stride)
     for s in power_sequence(u, range(stride, 7 * stride, stride)):
         assert np.array_equal(s.matrix, expected), s.n
@@ -415,16 +400,14 @@ def test_power_sequence_drift_aborts():
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    layers=st.integers(1, 3),
     dim=st.integers(1, 6),
     stride=st.integers(1, 9),
     n_max=st.integers(1, 60),
     start=st.integers(1, 36),
 )
 @settings(max_examples=40, deadline=None)
-def test_power_sequence_strides_match_matrix_powers(seed, layers, dim, stride, n_max, start):
-    rng = np.random.default_rng(seed)
-    u = np.stack([random_unitary(rng, dim) for _ in range(layers)])
+def test_power_sequence_strides_match_matrix_powers(seed, dim, stride, n_max, start):
+    u = random_unitary(np.random.default_rng(seed), dim)
     ns = range(start, n_max + 1, stride)
     samples = kept(power_sequence(u, ns))
     assert [s.n for s in samples] == list(ns)

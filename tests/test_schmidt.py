@@ -19,11 +19,9 @@ from opent import (
     slin,
     svn,
 )
-from opent.kickedtop import product_rotation
+from opent.blocks import band_stack, exchange_sectors, parity_gather, sector_gather
 from opent.linalg import hs_inner, kron
-from opent.exchange import exchange_sectors, sector_gather
-from opent.schmidt import band_stack, parity_gather
-from opent.spin import parity_basis
+from opent.spin import parity_basis, product_rotation
 from conftest import (CNOT, copy_gather, exchange_basis, parity_stack, random_complex,
                       random_exchange_unitary, random_parity_unitary, random_unitary, swap_operator)
 
