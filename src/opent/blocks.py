@@ -20,9 +20,9 @@ exchange of the copies, u[(a,c),(b,d')] = u[(c,a),(d',b)], has parity blocks
 that split into an exchange-even and an exchange-odd sector, by the flip
 split's pair combination over rows and columns. `exchange_sectors` makes
 them, four matrices of half the parity blocks' bytes, and `sector_gather`
-copies the same four flip blocks out of them through u's rows, rebuilt a
-slab at a time; so powers of u may be taken, and certified, in the sectors
-alone.
+copies the same four flip blocks, by `parity_gather`'s band plan and copy,
+out of the rows of u that they read, rebuilt from the sectors one a at a
+time; so powers of u may be taken, and certified, in the sectors alone.
 """
 
 from __future__ import annotations
@@ -40,25 +40,21 @@ def _parity_layout(l1, l2):
 
     With r = outer(l1, l2) > 0 over u's rows, block 0 is u[r][:, r] and block 1 u[~r][:, ~r], of
     `sizes` = (|r|, |~r|) rows. The labels alternate (l[a] l[b] = 1 iff a = b mod 2), so two
-    consecutive a hold M rows of each block, a slab: the rows (a, c), a in a0::2, c in c0::2, lie at
+    consecutive a hold M rows of each block: the rows (a, c), a in a0::2, c in c0::2, lie at
     a0 ((M + c0) // 2) + M (a // 2) + c // 2 of one block. view(blocks, a0, b0, c0, d0) is the
     (a // 2, b // 2, c // 2, d // 2) strided view of x[(a, b), (c, d)] = u[(a, c), (b, d)] in the
-    block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0]. With `slab`, `blocks` hold only the M
-    rows of one slab, each at full width, and the view's a // 2 axis holds that slab's a alone.
+    block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0].
     """
     if any(np.any(labels[1:] != -labels[:-1]) for labels in (l1, l2)):  # the views assume it
         raise ValueError("parity labels must alternate in sign")
     r = np.outer(l1, l2) > 0
     (n, m), sizes = r.shape, (np.count_nonzero(r), np.count_nonzero(~r))
 
-    def view(blocks, a0, b0, c0, d0, slab=False):
-        rows = (m, m) if slab else sizes
-        if (shapes := [np.shape(block) for block in blocks]) != [*zip(rows, sizes)]:
+    def view(blocks, a0, b0, c0, d0):
+        if (shapes := [np.shape(block) for block in blocks]) != [(size, size) for size in sizes]:
             raise ValueError(f"blocks of shapes {shapes} do not match their labels' sizes {sizes}")
         block, h = blocks[int(not r[a0, c0])], sizes[int(not r[a0, c0])]
         shape = [(k - k0 + 1) // 2 for k, k0 in zip((n, n, m, m), (a0, b0, c0, d0))]
-        if slab:
-            shape[0] = 1
         corner, item = a0 * (m + c0) // 2 * h + b0 * (m + d0) // 2, block.itemsize  # numpy refuses a block not in C order
         return np.ndarray(shape, block.dtype, block, item * corner, [item * m * h, item * m, item * h, item])
     return sizes, view
@@ -88,12 +84,12 @@ def band_stack(left, right, l1, l2) -> tuple[list[np.ndarray], float]:
     return blocks, float(np.max(off))
 
 
-def _flip_plan(n, m, band_key):
-    """The four flip blocks' row runs, grouped into bands by band_key(rows)(run), and their columns.
+def _flip_plan(n, m):
+    """The four flip blocks' row runs, in bands of those that start in one ROW_BANDS-th of the rows.
 
-    A run (r, a0, a // 2, b // 2, count) is the flip block's rows r, r + 1, ..., r + count - 1, the
-    pairs (a, b), (a, b + 2), ... of one a. Per parity (1 first), the flip-even then the flip-odd
-    block: (bands, cols, flipped, combine, rho1, rho2), each band (lo, hi, runs).
+    A run (r, a, b // 2, count) is the flip block's rows r, r + 1, ..., r + count - 1, the pairs
+    (a, b), (a, b + 2), ... of one a. Per parity (1 first), the flip-even then the flip-odd block:
+    (bands, cols, flipped, combine, rho1, rho2), each band (lo, hi, runs).
     """
     def pairs(size, offset):  # (a, b), b = a + offset, a + offset + 2, ... below size, by a, then b
         return np.array([(a, b) for a in range(size) for b in range(a + offset, size, 2)], int).reshape(-1, 2).T
@@ -102,8 +98,8 @@ def _flip_plan(n, m, band_key):
     for odd, offset, combine in (0, 0, np.add), (0, 2, np.subtract), (1, 1, np.add), (1, 1, np.subtract):
         (a, b), (c, d) = pairs(n, offset), pairs(m, offset)
         starts = [*np.flatnonzero(b == a + offset).tolist(), len(a)]  # where each a's rows start
-        runs = [(r, a[r] % 2, a[r] // 2, b[r] // 2, end - r) for r, end in zip(starts, starts[1:])]
-        bands = ([*band] for _, band in itertools.groupby(runs, band_key(len(a))))
+        runs = [(r, a.item(r), b.item(r) // 2, end - r) for r, end in zip(starts, starts[1:])]
+        bands = ([*band] for _, band in itertools.groupby(runs, lambda run: run[0] * ROW_BANDS // len(a)))
         flips[odd].append(([(band[0][0], band[-1][0] + band[-1][-1], band) for band in bands],
                            (c % 2 * h + c // 2) * h + d // 2, (d % 2 * h + d // 2) * h + c // 2, combine,
                            np.where(a == b, np.sqrt(0.5), 1)[:, None], np.where(c == d, np.sqrt(0.5), 1)))
@@ -116,12 +112,12 @@ def _flip_buffers(specs, m):
     return [np.empty((len(rho1), len(cols)), complex) for _, cols, _, _, rho1, _ in specs], np.empty((rows, 2, h, h), complex)
 
 
-def _fill_band(y, part, grids, lo, hi, runs, cols, flipped, combine, rho1, rho2, slab=0):
-    """Rows lo:hi of flip block y: x's rows of the runs, copied run by run from the grids into
-    `part` (a // 2 less `slab`, for grids of one slab), then y's columns taken from them."""
-    for r, a0, i, k, count in runs:  # x's rows (a, b), (a, b + 2), ..., a class of (c, d) at a time
-        for c0, grid in enumerate(grids[a0]):
-            part[r - lo:r - lo + count, c0, :grid.shape[2], :grid.shape[3]] = grid[i - slab, k:k + count]
+def _fill_band(y, part, grids, lo, hi, runs, cols, flipped, combine, rho1, rho2):
+    """Rows lo:hi of flip block y: the runs' rows of x, copied into `part` from grids[a] (per class of c,
+    a grid (a // 2 - i0, b // 2 - k0, c // 2, d // 2) and its offsets (i0, k0)), then y's columns."""
+    for r, a, k, count in runs:  # x's rows (a, b), (a, b + 2), ..., a class of (c, d) at a time
+        for c0, (grid, i0, k0) in enumerate(grids[a]):
+            part[r - lo:r - lo + count, c0, :grid.shape[2], :grid.shape[3]] = grid[a // 2 - i0, k - k0:k - k0 + count]
     x, band = part[:hi - lo].reshape(hi - lo, -1), y[lo:hi]
     x.take(cols, axis=1, out=band, mode="clip")  # clip: no buffered copy of `out`
     combine(band, x.take(flipped, axis=1), out=band)
@@ -137,15 +133,11 @@ def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
     a flip-odd block on (e_ab - e_ba) / sqrt(2) (a < b), with entries x[ab, cd] - x[ab, dc]. The
     generator takes the pair of u's parity blocks (`band_stack`) and yields the flip blocks in this
     order, parity 1 first, each a new array. No realigned parity block is made: a flip block goes
-    in row bands of whole runs (a, b), (a, b + 2), ... of one a, and each band copies its rows of x
-    run by run from the strided views of u's blocks (`_parity_layout`), then takes its columns.
-    It keeps no block it yielded.
+    in the row bands of `_flip_plan`, and each band copies its rows of x run by run from the
+    strided views of u's blocks (`_parity_layout`), grids[a] those of a's class a % 2, then takes
+    its columns. It keeps no block it yielded.
     """
-    (_, view), m = _parity_layout(l1, l2), len(l2)
-    # bands of an eighth of the rows: bands of whole slabs, the unit that `sector_gather` rebuilds,
-    # need a larger `part`, 2.46 stacks against 2.39 at j1 = 5, j2 = 7.5 on range(8, 41, 8), over
-    # the 2.45 bound of test_kicked_spectra_stream_in_bounded_memory
-    flips = _flip_plan(len(l1), m, lambda rows: lambda run: run[0] * ROW_BANDS // rows)
+    (_, view), flips = _parity_layout(l1, l2), _flip_plan(n := len(l1), m := len(l2))
 
     def flip(grids, spec):
         (y,), part = _flip_buffers([spec], m)
@@ -155,7 +147,7 @@ def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
 
     def gather(blocks):
         for odd in (0, 1):
-            grids = [[view(blocks, a0, a0 ^ odd, c0, c0 ^ odd) for c0 in (0, 1)] for a0 in (0, 1)]
+            grids = [[(view(blocks, a0, a0 ^ odd, c0, c0 ^ odd), 0, 0) for c0 in (0, 1)] for a0 in (0, 1)] * n
             yield from (flip(grids, spec) for spec in flips[odd])
     return gather
 
@@ -217,51 +209,48 @@ def sector_gather(labels) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
     """`parity_gather` for u on two copies of one space, as a function of its exchange sectors.
 
     The generator takes the four sectors of u (`exchange_sectors`) and yields the same four flip
-    blocks, each a new array, with no parity block of u made whole. Per parity of the flip blocks,
-    it rebuilds u's rows one slab at a time (`_parity_layout`), only the columns from the slab's
-    own a on, and copies both flip blocks' runs of that slab from them. Row q = (a, c) and column
-    q' of a block are (even[i, i'] / (rho_i rho_i') + s_q s_q' odd[j, j']) / 2, where i, j are the
-    pairs of q in the two sectors, rho is that of `exchange_sectors`, and s_q is 1, -1 or 0 for
-    a < c, a > c or a = c. So it holds both flip blocks of a parity, and a slab. It keeps no block
-    it yielded.
+    blocks, each a new array, with no parity block of u made whole. Per parity, one a at a time, it
+    rebuilds from the sectors the rows x[(a, b), (c, d)] of both flip blocks (b from a on), fills
+    each band (`_flip_plan`) once its last a is in, and keeps only the a's that unfilled bands read.
+    Row q = (a, c) and column q' of a parity block are (even[i, i'] (0.5 / rho_i)) (1 / rho_i') +
+    (odd[j, j'] (s_q / 2)) s_q', rounded in that order: i, j are the pairs of q in the two sectors,
+    rho is that of `exchange_sectors`, and s_q is 1, -1 or 0 for a < c, a > c or a = c. It holds
+    both flip blocks of a parity and the rows of about a band of each, and keeps no block it yielded.
     """
-    (sizes, view), m = _parity_layout(labels, labels), len(labels)
-    flips = _flip_plan(m, m, lambda rows: lambda run: run[0])  # a band per a
-    slabs = [[{i: [*group] for i, group in itertools.groupby(bands, lambda band: band[2][0][2])}
-              for bands, *_ in specs] for specs in flips]  # per flip block: slab i -> the bands of its a
-    factors = []  # per block: the rows' pairs, 1 / (2 rho) and 1 / rho in the even sector, s / 2 and s in the odd
-    for swap, ((_, even, rho), (_, odd, _)) in _exchange_layout(labels):
-        s = np.sign(swap - np.arange(len(swap)))  # rows (a, c) come in order, so a < c iff q < swap[q]
-        factors.append((even, (0.5 / rho[even])[:, None], 1 / rho, odd, (0.5 * s)[:, None], s))
+    _, m, layout = _parity_layout(labels, labels), len(labels), _exchange_layout(labels)  # refuses bad labels
+    flips, classes = _flip_plan(m, m), {}
+    for a0, c0 in itertools.product((0, 1), repeat=2):  # q: the rows (a, c), a in a0::2, c in c0::2, by a then c
+        swap, ((_, even, rho), (_, odd, _)) = layout[a0 ^ c0]  # of block a0 ^ c0 (`_parity_layout`)
+        q = (a0 * ((m + c0) // 2) + m * np.arange((m - a0 + 1) // 2)[:, None] + np.arange((m - c0 + 1) // 2)).ravel()
+        s = np.sign(swap[q] - q)  # a < c iff q < swap[q]
+        classes[a0, c0] = even[q], (0.5 / rho[even[q]])[:, None], 1 / rho[even[q]], odd[q], (0.5 * s)[:, None], s
 
-    def rebuild(slab, sectors, i):  # the rows of slab i of each block, from column m i on
-        for block, even, odd, (pair_e, row_e, col_e, pair_o, row_o, s) in zip(slab, sectors[::2], sectors[1::2], factors):
-            rows, cols = slice(m * i, m * (i + 1)), slice(m * i, None)
-            target = block[:len(pair_e[rows]), cols]
-            part = even.take(pair_e[rows], 0)
-            part *= row_e[rows]
-            part *= col_e
-            part.take(pair_e[cols], 1, out=target, mode="clip")
-            if len(odd):  # else every pair is a = c
-                part = odd.take(pair_o[rows], 0)
-                part *= row_o[rows]
-                part = part.take(pair_o[cols], 1)
-                part *= s[cols]
-                target += part
-
-    def flip_pair(sectors, odd):  # both flip blocks of one parity
-        (ys, part), slab = _flip_buffers(flips[odd], m), [np.empty((m, size), complex) for size in sizes]
-        grids = [[view(slab, a0, a0 ^ odd, c0, c0 ^ odd, slab=True) for c0 in (0, 1)] for a0 in (0, 1)]
-        for i in range((m + 1) // 2):
-            rebuild(slab, sectors, i)
-            for y, spec, bands in zip(ys, flips[odd], slabs[odd]):
-                for band in bands.get(i, ()):
-                    _fill_band(y, part, grids, *band, *spec[1:], slab=i)
-        return ys
+    def grid(sectors, odd, a, c0):  # x[(a, b), (c, d)], c in c0::2, b = a + odd, a + odd + 2, ...
+        even, row_e, _, odd_pair, row_o, _ = classes[a % 2, c0]  # u's rows (a, c)
+        col_even, _, col_e, col_odd, _, col_o = classes[a % 2 ^ odd, c0 ^ odd]  # its columns (b, d)
+        nc, nd, k0 = (m - c0 + 1) // 2, (m - (c0 ^ odd) + 1) // 2, (a + odd) // 2
+        rows, cols = slice(a // 2 * nc, (a // 2 + 1) * nc), slice(k0 * nd, None)
+        x = sectors[2 * (a % 2 ^ c0)].take(even[rows], 0).take(col_even[cols], 1)
+        x *= row_e[rows]
+        x *= col_e[cols]
+        if len(odd_sector := sectors[2 * (a % 2 ^ c0) + 1]):  # else every pair is a = c
+            part = odd_sector.take(odd_pair[rows], 0).take(col_odd[cols], 1)
+            part *= row_o[rows]
+            part *= col_o[cols]
+            x += part
+        return x.reshape(nc, -1, nd).transpose(1, 0, 2)[None], a // 2, k0
 
     def gather(sectors):
-        for odd in (0, 1):
-            ys = flip_pair(sectors, odd)
+        for odd, specs in enumerate(flips):
+            (ys, part), grids = _flip_buffers(specs, m), {}
+            todo = sorted((band[2][-1][1], y, band) for y, (bands, *_) in enumerate(specs) for band in bands)  # by last a
+            for a in range(todo[-1][0] + 1):
+                grids[a] = [grid(sectors, odd, a, c0) for c0 in (0, 1)]
+                while todo and todo[0][0] == a:
+                    _, y, band = todo.pop(0)
+                    _fill_band(ys[y], part, grids, *band, *specs[y][1:])
+                first = min((band[2][0][1] for *_, band in todo), default=a + 1)  # the first a still read
+                grids = {b: grids[b] for b in grids if b >= first}
             while ys:
                 yield ys.pop(0)
     return gather

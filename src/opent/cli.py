@@ -40,6 +40,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,23 +191,32 @@ def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda tas
     (`files`, formatted with its name) is named on stderr, before the output
     directory is made (a point that then fails keeps its old files). The
     costliest tasks start first, so that the longest one does not start
-    last. Results go to `report` in task order. A failed point is reported
-    on stderr as one line that names it and the rest of the grid still
-    runs; then this raises.
+    last. Results go to `report` in task order. A point left unfinished by a
+    pool that broke (a worker died) reruns once, alone in a new pool, or fails
+    as "worker died". A failed point is reported on stderr as one line that
+    names it and the rest of the grid still runs; then this raises.
     """
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    workers = _worker_count(len(tasks))
+    def run(names, workers):  # a submission that finds the pool broken submits no more
+        with ProcessPoolExecutor(max_workers=workers) as pool, suppress(BrokenProcessPool):
+            for name in names:
+                futures[name] = pool.submit(_attempt, point, tasks[name])
+
+    def broken(name):
+        return name not in futures or isinstance(futures[name].exception(), BrokenProcessPool)
+
+    workers, futures, results = _worker_count(len(tasks)), {}, []
     for path in (Path(out) / file.format(name) for name in tasks for file in files):
         if path.exists():
             print(f"note: will replace {path}", file=sys.stderr)
     Path(out).mkdir(parents=True, exist_ok=True)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {name: pool.submit(_attempt, point, tasks[name])
-                   for name in sorted(tasks, key=lambda name: -cost(tasks[name]))}
-    results = []
+    run(sorted(tasks, key=lambda name: -cost(tasks[name])), workers)
     for name in tasks:
-        if isinstance(result := futures[name].result(), str):
+        if broken(name):
+            run([name], 1)
+        if isinstance(result := "worker died" if broken(name) else futures[name].result(), str):
             print(f"error: {kind} point {name}: {result}", file=sys.stderr)
         else:
             report(result)

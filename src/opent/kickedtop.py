@@ -23,7 +23,7 @@ Schmidt spectra of U_T^n shared by the `sweep` and `spectrum` commands,
 powers the blocks, or the sectors, in lockstep and takes each spectrum from
 the four flip blocks that `blocks` gathers from their powers. With its
 build, a call on its step holds under 2.45 times the two parity blocks'
-bytes, or 1.75 times for identical tops.
+bytes, or about 1.6 times for identical tops.
 """
 
 from __future__ import annotations
@@ -234,8 +234,8 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     powers it over `ns`, one product per sample, and certifies its unitarity;
     all run in lockstep, and each power must stay symmetric to DRIFT_TOL. The
     four realigned flip blocks of each sample are copied from strided views of
-    the blocks' powers (`parity_gather`), or of V^n's rows rebuilt from the
-    sectors' powers a slab at a time (`sector_gather`), and each spectrum must
+    the blocks' powers (`parity_gather`), or from V^n's rows rebuilt from the
+    sectors' powers one a at a time (`sector_gather`), and each spectrum must
     meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)

@@ -91,6 +91,27 @@ def copy_gather(l1, l2):
     return gather
 
 
+def rebuilt_parity_blocks(sectors, labels) -> list[np.ndarray]:
+    """The reference for `blocks.sector_gather`'s rows: both whole parity blocks from the four sectors.
+
+    Per block, of rows (a, c) in order (`parity_stack`), entry (q, q') is
+    (even[i, i'] (0.5 / rho_q)) (1 / rho_q') + (odd[j, j'] (s_q / 2)) s_q', computed in that order,
+    where i and j are the pairs of q = (a, c) in the even (a <= c) and the odd (a < c) sector,
+    rho_q is 1/sqrt(2) where a = c, else 1, and s_q = sign(c - a); an empty odd sector adds nothing.
+    """
+    r = np.outer(labels, labels) > 0
+    blocks = []
+    for (even, odd), mask in zip((sectors[:2], sectors[2:]), (r, ~r)):
+        a, c = np.nonzero(mask)
+        rows = [*zip(a.tolist(), c.tolist())]
+        rank = [{row: i for i, row in enumerate(row for row in rows if row[0] + strict <= row[1])} for strict in (0, 1)]
+        i, j = (np.array([ranks.get((min(row), max(row)), 0) for row in rows], int) for ranks in rank)
+        rho, s = np.where(a == c, np.sqrt(0.5), 1), np.sign(c - a)
+        block = even[np.ix_(i, i)] * (0.5 / rho)[:, None] * (1 / rho)
+        blocks.append(block + odd[np.ix_(j, j)] * (s / 2)[:, None] * s if odd.size else block)
+    return blocks
+
+
 def exchange_basis(labels) -> list[tuple[np.ndarray, int]]:
     """The dense oracle for exchange sectors, built without `blocks._exchange_layout`.
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -415,6 +416,28 @@ def test_spectrum_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, 
     assert err[0].startswith(f"error: spectrum point j2_1.5: {type(failure).__name__}: ")
     assert err[-1] == "error: RuntimeError: 1 of 3 spectrum points failed"
     assert [line.split()[0] for line in captured.out.splitlines()] == ["j2=1", "j2=2"]
+
+
+def dying_point(task):
+    """A pool point that writes {name}.txt, except that a worker given the name "dies" kills itself."""
+    out, name, parent_pid = task
+    if name == "dies" and os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    (path := out / f"{name}.txt").write_text(name)
+    return path  # not a str, which `_attempt` keeps for a failure
+
+
+def test_a_dead_worker_costs_only_its_own_point(tmp_path, monkeypatch, capsys):
+    # the dead worker breaks the pool and every point it had not finished; each reruns alone
+    # in a pool of one, where "dies" kills that worker too
+    monkeypatch.setenv("OPENT_WORKERS", "2")
+    names, reported = ["a", "dies", "b", "c"], []
+    tasks = {name: (tmp_path, name, os.getpid()) for name in names}
+    with pytest.raises(RuntimeError, match="^1 of 4 test points failed$"):
+        cli._run_points("test", dying_point, tasks, tmp_path, ["{}.txt"], report=reported.append)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "c.txt"]
+    assert capsys.readouterr().err.splitlines() == ["error: test point dies: worker died"]
+    assert [path.name for path in reported] == ["a.txt", "b.txt", "c.txt"]
 
 
 @pytest.mark.parametrize("flag", ["--k", "--eps"])

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import math
 import pickle
 import pkgutil
 import tracemalloc
@@ -322,13 +323,13 @@ def test_kicked_spectra_stream_in_bounded_memory():
     # parity blocks' nbytes together. np.linalg.svd's LAPACK copy of the flip block it works on,
     # up to an eighth of a stack, is made by malloc and is not traced; it comes on top of each.
     # For two tops of other spins, on its step the stream holds each block's step and running
-    # power, a flip block and a row band of temporaries: 2.36 stacks here, where the gather's
+    # power, a flip block and a row band of temporaries: 2.39 stacks here, where the gather's
     # index vectors still weigh. A window that starts at a higher power of its step makes that
     # power while the step is held (2.52 stacks), and off its step each block's first power is
     # made while that block is held: 2.52 stacks on (2, 35, 8) and 3.02 on (12, 60, 8).
     # Identical tops power four exchange sectors, half a stack in all, and hold the two flip
-    # blocks of one parity and a slab of rebuilt rows: 1.71 stacks on (5, 51, 5) and 1.68 on
-    # (40, 105, 8) at j = 7.5, where a slab is an eighth of a stack.
+    # blocks of one parity and the rebuilt rows of about a band of each: 1.57 stacks on
+    # (5, 51, 5), 1.59 as a process's first call, and 1.55 on (40, 105, 8) at j = 7.5.
     cases = [((5, 7.5), ((range(8, 41, 8), 2.45), (range(5, 51, 5), 2.45), (range(200, 1001, 40), 2.6),
                          (range(2, 35, 8), 2.6), (range(12, 60, 8), 3.05))),
              ((7.5, 7.5), ((range(5, 51, 5), 1.75), (range(40, 105, 8), 2.0)))]
@@ -390,6 +391,15 @@ def test_power_sequence_products_equal_whole_products_bit_for_bit(seed, h, strid
     for s in power_sequence(u, range(stride, 7 * stride, stride)):
         assert np.array_equal(s.matrix, expected), s.n
         expected = expected @ step
+
+
+@pytest.mark.parametrize("h", [1, 3, 8])
+def test_a_measured_power_carries_the_grams_own_rounding(h):
+    # the identity's Gram residual is exactly 0, so the yielded bound is the Gram's rounding alone
+    u = 2.0**-53
+    g = math.sqrt(2) * (h + 2) * u / (1 - (h + 2) * u)
+    (sample,) = power_sequence(np.eye(h, dtype=complex), range(1, 2))
+    assert sample.residual == (0 + g) / (1 - g) > 0
 
 
 def test_power_sequence_drift_aborts():

@@ -22,8 +22,8 @@ from opent import (
 from opent.blocks import band_stack, exchange_sectors, parity_gather, sector_gather
 from opent.linalg import hs_inner, kron
 from opent.spin import parity_basis, product_rotation
-from conftest import (CNOT, copy_gather, exchange_basis, parity_stack, random_complex,
-                      random_exchange_unitary, random_parity_unitary, random_unitary, swap_operator)
+from conftest import (CNOT, copy_gather, exchange_basis, parity_stack, random_complex, random_exchange_unitary,
+                      random_parity_unitary, random_unitary, rebuilt_parity_blocks, swap_operator)
 
 D22 = BipartitionDims(2, 2)
 
@@ -311,7 +311,7 @@ def test_exchange_sectors_measure_a_broken_exchange():
 
 @pytest.mark.parametrize("j", SPINS + (7.5,))
 def test_sector_gather_equals_the_parity_gather(j):
-    # the flip blocks from the four sectors, u's rows rebuilt a slab at a time, against those from
+    # the flip blocks from the four sectors, u's rows rebuilt one a at a time, against those from
     # u's two parity blocks; at j = 1/2 the exchange-odd sector of parity +1 is 0 x 0
     blocks, labels = _symmetric_exchange_unitary(j, 29)
     sectors, _ = exchange_sectors([*blocks], labels)
@@ -321,6 +321,20 @@ def test_sector_gather_equals_the_parity_gather(j):
     for block, expected_block in zip(got, expected):
         assert block.shape == expected_block.shape
         np.testing.assert_allclose(block, expected_block, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("j", SPINS + (7.5,))
+def test_sector_gather_equals_the_copying_gather_of_the_rebuilt_blocks_bit_for_bit(j):
+    # the flip blocks of u's rows rebuilt from the sectors as needed, against those copied from both
+    # whole parity blocks rebuilt with the same arithmetic per entry; the sectors are squared so that
+    # they are not exactly symmetric, as a power is not
+    blocks, labels = _symmetric_exchange_unitary(j, 31)
+    sectors = [sector @ sector for sector in exchange_sectors([*blocks], labels)[0]]
+    got = list(sector_gather(labels)(sectors))
+    expected = list(copy_gather(labels, labels)(rebuilt_parity_blocks(sectors, labels)))
+    assert len(got) == len(expected) == 4
+    for block, expected_block in zip(got, expected):
+        assert block.shape == expected_block.shape and np.array_equal(block, expected_block)
 
 
 @pytest.mark.parametrize("l1, l2", [([1.0, 1.0, -1.0], [1.0, -1.0]), ([1.0, -1.0], [-1.0, 1.0, 1.0])])
