@@ -17,12 +17,12 @@ operator is formed.
 
 On two copies of one space (l1 = l2) a u that also commutes with the
 exchange of the copies, u[(a,c),(b,d')] = u[(c,a),(d',b)], has parity blocks
-that split into an exchange-even and an exchange-odd sector, by the flip
-split's pair combination over rows and columns. `exchange_sectors` makes
-them, four matrices of half the parity blocks' bytes, and `sector_gather`
-copies the same four flip blocks, by `parity_gather`'s band plan and copy,
-out of the rows of u that they read, rebuilt from the sectors one a at a
-time; so powers of u may be taken, and certified, in the sectors alone.
+that split into an exchange-even and an exchange-odd sector: the flip blocks
+of x'[(a,c),(b,d')] = u[(a,c),(b,d')], which `exchange_sectors` gathers as
+`parity_gather` gathers x's. `sector_gather` copies x's flip blocks, by the
+same band plan and copy, out of the rows of u that they read, rebuilt from
+the sectors one a at a time; so powers of u may be taken, and certified, in
+the sectors alone. One pair list (`_pairs`) orders all their rows.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ import numpy as np
 
 from .linalg import ROW_BANDS, row_bands
 
+# (odd, offset, combine) of the four flip blocks, or exchange sectors, in their order, over the pairs
+# (a, b), b = a + offset, a + offset + 2, ...: parity 1 (a + b even) splits into a <= b, then a < b,
+# and parity -1 into a < b twice
+_SPLITS = (0, 0, np.add), (0, 2, np.subtract), (1, 1, np.add), (1, 1, np.subtract)
+
 
 def _parity_layout(l1, l2):
     """(sizes, view) of the two parity blocks of a u that commutes with diag(l1) x diag(l2).
@@ -43,7 +48,7 @@ def _parity_layout(l1, l2):
     consecutive a hold M rows of each block: the rows (a, c), a in a0::2, c in c0::2, lie at
     a0 ((M + c0) // 2) + M (a // 2) + c // 2 of one block. view(blocks, a0, b0, c0, d0) is the
     (a // 2, b // 2, c // 2, d // 2) strided view of x[(a, b), (c, d)] = u[(a, c), (b, d)] in the
-    block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0].
+    block that holds it, for l1[a0] l1[b0] = l2[c0] l2[d0]; it checks the shape of that block alone.
     """
     if any(np.any(labels[1:] != -labels[:-1]) for labels in (l1, l2)):  # the views assume it
         raise ValueError("parity labels must alternate in sign")
@@ -51,9 +56,9 @@ def _parity_layout(l1, l2):
     (n, m), sizes = r.shape, (np.count_nonzero(r), np.count_nonzero(~r))
 
     def view(blocks, a0, b0, c0, d0):
-        if (shapes := [np.shape(block) for block in blocks]) != [(size, size) for size in sizes]:
-            raise ValueError(f"blocks of shapes {shapes} do not match their labels' sizes {sizes}")
         block, h = blocks[int(not r[a0, c0])], sizes[int(not r[a0, c0])]
+        if np.shape(block) != (h, h):  # the other block may be gone (`exchange_sectors`)
+            raise ValueError(f"blocks of shapes {[*map(np.shape, blocks)]} do not match their labels' sizes {sizes}")
         shape = [(k - k0 + 1) // 2 for k, k0 in zip((n, n, m, m), (a0, b0, c0, d0))]
         corner, item = a0 * (m + c0) // 2 * h + b0 * (m + d0) // 2, block.itemsize  # numpy refuses a block not in C order
         return np.ndarray(shape, block.dtype, block, item * corner, [item * m * h, item * m, item * h, item])
@@ -84,19 +89,21 @@ def band_stack(left, right, l1, l2) -> tuple[list[np.ndarray], float]:
     return blocks, float(np.max(off))
 
 
+def _pairs(size, offset):
+    """(a, b) of the pairs b = a + offset, a + offset + 2, ... below size, by a, then b."""
+    return np.array([(a, b) for a in range(size) for b in range(a + offset, size, 2)], int).reshape(-1, 2).T
+
+
 def _flip_plan(n, m):
     """The four flip blocks' row runs, in bands of those that start in one ROW_BANDS-th of the rows.
 
     A run (r, a, b // 2, count) is the flip block's rows r, r + 1, ..., r + count - 1, the pairs
-    (a, b), (a, b + 2), ... of one a. Per parity (1 first), the flip-even then the flip-odd block:
-    (bands, cols, flipped, combine, rho1, rho2), each band (lo, hi, runs).
+    (a, b), (a, b + 2), ... of one a. Per parity (1 first), the flip-even then the flip-odd block
+    of `_SPLITS`: (bands, cols, flipped, combine, rho1, rho2), each band (lo, hi, runs).
     """
-    def pairs(size, offset):  # (a, b), b = a + offset, a + offset + 2, ... below size, by a, then b
-        return np.array([(a, b) for a in range(size) for b in range(a + offset, size, 2)], int).reshape(-1, 2).T
-
-    h, flips = (m + 1) // 2, [[], []]  # parity 1 (a + b even): a <= b, then a < b; parity -1: a < b twice
-    for odd, offset, combine in (0, 0, np.add), (0, 2, np.subtract), (1, 1, np.add), (1, 1, np.subtract):
-        (a, b), (c, d) = pairs(n, offset), pairs(m, offset)
+    h, flips = (m + 1) // 2, [[], []]
+    for odd, offset, combine in _SPLITS:
+        (a, b), (c, d) = _pairs(n, offset), _pairs(m, offset)
         starts = [*np.flatnonzero(b == a + offset).tolist(), len(a)]  # where each a's rows start
         runs = [(r, a.item(r), b.item(r) // 2, end - r) for r, end in zip(starts, starts[1:])]
         bands = ([*band] for _, band in itertools.groupby(runs, lambda run: run[0] * ROW_BANDS // len(a)))
@@ -124,6 +131,14 @@ def _fill_band(y, part, grids, lo, hi, runs, cols, flipped, combine, rho1, rho2)
     band *= rho1[lo:hi] * rho2
 
 
+def _flip(grids, spec, m):
+    """The flip block of `spec` (`_flip_plan`), a new array, band by band from grids (`_fill_band`)."""
+    (y,), part = _flip_buffers([spec], m)
+    for band in spec[0]:
+        _fill_band(y, part, grids, *band, *spec[1:])
+    return y
+
+
 def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarray]]:
     """The four realigned flip blocks of a symmetric operator, as a function of its parity blocks.
 
@@ -139,43 +154,11 @@ def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
     """
     (_, view), flips = _parity_layout(l1, l2), _flip_plan(n := len(l1), m := len(l2))
 
-    def flip(grids, spec):
-        (y,), part = _flip_buffers([spec], m)
-        for band in spec[0]:
-            _fill_band(y, part, grids, *band, *spec[1:])
-        return y
-
     def gather(blocks):
         for odd in (0, 1):
             grids = [[(view(blocks, a0, a0 ^ odd, c0, c0 ^ odd), 0, 0) for c0 in (0, 1)] for a0 in (0, 1)] * n
-            yield from (flip(grids, spec) for spec in flips[odd])
+            yield from (_flip(grids, spec, m) for spec in flips[odd])
     return gather
-
-
-def _exchange_layout(labels):
-    """Per parity block (`_parity_layout`) of a u on two copies of one space of these labels.
-
-    Exchange maps row (a, c) of a block to row (c, a) of the same block. Returns, per block,
-    (swap, pairs): swap[q] is the row of the exchange of row q, and pairs holds, for the even
-    sector (a <= c) and then the odd one (a < c), the tuple (rows, index, rho). `rows` are the
-    block rows (a, c) of the sector's pairs, in block order; index[q] is the pair of row q, clipped
-    at 0 where there is none (a = c in the odd sector); rho is 1/sqrt(2) on a pair a = c, else 1.
-    """
-    n = len(labels)
-    r = np.outer(labels, labels) > 0
-    layout = []
-    for mask in (r, ~r):
-        a, c = np.nonzero(mask)  # the block's rows (a, c), in order
-        row = np.zeros((n, n), int)
-        row[a, c] = np.arange(len(a))
-        swap, pairs = row[c, a], []
-        for keep in (a <= c, a < c):
-            rank = np.cumsum(keep) - 1
-            index = np.maximum(np.where(keep, rank, rank[swap]), 0)
-            rows = np.flatnonzero(keep)
-            pairs.append((rows, index, np.where(a[rows] == c[rows], np.sqrt(0.5), 1)))
-        layout.append((swap, pairs))
-    return layout
 
 
 def exchange_sectors(blocks: list, labels) -> tuple[list[np.ndarray], float]:
@@ -183,25 +166,24 @@ def exchange_sectors(blocks: list, labels) -> tuple[list[np.ndarray], float]:
 
     u acts on two copies of one space, l1 = l2 = labels. If it commutes with their exchange,
     u[(a, c), (b, d)] = u[(c, a), (d, b)], each parity block splits into an exchange-even sector on
-    rho_ac (e_ac + e_ca) (a <= c) and an exchange-odd one on e_ac - e_ca (a < c): the pair
-    combination that `parity_gather` applies to flip pairs, with its rho, over rows and
-    columns alike. Returns [even, odd] of block 0, then of block 1, each a matrix of its own size,
-    which may be 0 x 0, and unitary and symmetric if u is. Both go by row bands. The
-    blocks are taken out of the list `blocks`, so that each goes once its sectors exist, in a
-    caller that kept no other reference to it.
+    rho_ac (e_ac + e_ca) (a <= c) and an exchange-odd one on e_ac - e_ca (a < c). Those are the flip
+    blocks of x'[(a, c), (b, d)] = u[(a, c), (b, d)], and go by `parity_gather`'s plan and copy from
+    the views of u's blocks (`_parity_layout`) with their middle axes swapped. In the realigned
+    x[(a, b), (c, d)] = u[(a, c), (b, d)] the exchange reads x = x^T, measured view by view. Returns
+    [even, odd] of block 0, then of block 1, each a matrix of its own size, which may be 0 x 0, and
+    unitary and symmetric if u is. The blocks are taken out of the list `blocks`, so that each goes
+    once its sectors exist, in a caller that kept no other reference to it.
     """
-    sectors, defect = [], [0.0]
-    for swap, pairs in _exchange_layout(labels):
-        block = blocks.pop(0)
-        defect += [np.abs(block[rows] - block.take(swap[rows], 0).take(swap, 1)).max()
-                   for rows in row_bands(len(block))]
-        for (rows, _, rho), combine in zip(pairs, (np.add, np.subtract)):
-            sector = np.empty((len(rows), len(rows)), complex)
-            for band in row_bands(len(rows)):
-                part = block.take(rows[band], 0)
-                combine(part.take(rows, 1), part.take(swap[rows], 1), out=sector[band])
-                sector[band] *= rho[band, None] * rho
-            sectors.append(sector)
+    (_, view), flips = _parity_layout(labels, labels), _flip_plan(m := len(labels), m)
+    sectors, defect = [], []
+    for odd in (0, 1):  # block odd: u's rows (a, c) and columns (b, d) with a ^ c = b ^ d = odd
+        classes = [(a0, b0, a0 ^ odd, b0 ^ odd) for a0, b0 in itertools.product((0, 1), repeat=2)]  # x's, in block odd
+        defect += [np.abs(view(blocks, *k) - view(blocks, *k[2:], *k[:2]).transpose(2, 3, 0, 1)).max() for k in classes]
+        grids = [[(view(blocks, a0, c0, a0 ^ odd, c0 ^ odd).transpose(0, 2, 1, 3), 0, 0) for c0 in (0, 1)]
+                 for a0 in (0, 1)] * m
+        sectors += [_flip(grids, spec, m) for spec in flips[odd]]
+        blocks[odd] = grids = None  # the block goes once its sectors exist
+    blocks.clear()
     return sectors, float(np.max(defect))
 
 
@@ -213,17 +195,19 @@ def sector_gather(labels) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
     rebuilds from the sectors the rows x[(a, b), (c, d)] of both flip blocks (b from a on), fills
     each band (`_flip_plan`) once its last a is in, and keeps only the a's that unfilled bands read.
     Row q = (a, c) and column q' of a parity block are (even[i, i'] (0.5 / rho_i)) (1 / rho_i') +
-    (odd[j, j'] (s_q / 2)) s_q', rounded in that order: i, j are the pairs of q in the two sectors,
-    rho is that of `exchange_sectors`, and s_q is 1, -1 or 0 for a < c, a > c or a = c. It holds
+    (odd[j, j'] (s_q / 2)) s_q', rounded in that order: i, j are the rows of q's pair in the two
+    sectors (`_pairs`), rho is that of `exchange_sectors`, and s_q = sign(c - a). It holds
     both flip blocks of a parity and the rows of about a band of each, and keeps no block it yielded.
     """
-    _, m, layout = _parity_layout(labels, labels), len(labels), _exchange_layout(labels)  # refuses bad labels
-    flips, classes = _flip_plan(m, m), {}
-    for a0, c0 in itertools.product((0, 1), repeat=2):  # q: the rows (a, c), a in a0::2, c in c0::2, by a then c
-        swap, ((_, even, rho), (_, odd, _)) = layout[a0 ^ c0]  # of block a0 ^ c0 (`_parity_layout`)
-        q = (a0 * ((m + c0) // 2) + m * np.arange((m - a0 + 1) // 2)[:, None] + np.arange((m - c0 + 1) // 2)).ravel()
-        s = np.sign(swap[q] - q)  # a < c iff q < swap[q]
-        classes[a0, c0] = even[q], (0.5 / rho[even[q]])[:, None], 1 / rho[even[q]], odd[q], (0.5 * s)[:, None], s
+    _, m = _parity_layout(labels, labels), len(labels)  # refuses bad labels
+    flips, pair, classes = _flip_plan(m, m), np.zeros((2, m, m), int), {}
+    for k, (_, offset, _) in enumerate(_SPLITS):  # pair[k % 2, a, c]: the row of (a, c)'s pair in sector k, or 0
+        a, c = _pairs(m, offset)
+        pair[k % 2, a, c] = pair[k % 2, c, a] = np.arange(len(a))
+    rho, s = np.where(np.eye(m) > 0, np.sqrt(0.5), 1), np.sign(np.arange(m) - np.arange(m)[:, None])  # over (a, c)
+    for a0, c0 in itertools.product((0, 1), repeat=2):  # the rows (a, c), a in a0::2, c in c0::2, by a then c
+        even, odd, rho_q, s_q = (v[a0::2, c0::2].ravel() for v in (*pair, rho, s))
+        classes[a0, c0] = even, (0.5 / rho_q)[:, None], 1 / rho_q, odd, (0.5 * s_q)[:, None], s_q
 
     def grid(sectors, odd, a, c0):  # x[(a, b), (c, d)], c in c0::2, b = a + odd, a + odd + 2, ...
         even, row_e, _, odd_pair, row_o, _ = classes[a % 2, c0]  # u's rows (a, c)

@@ -112,8 +112,29 @@ def rebuilt_parity_blocks(sectors, labels) -> list[np.ndarray]:
     return blocks
 
 
+def split_exchange(blocks, labels) -> list[np.ndarray]:
+    """The reference for `blocks.exchange_sectors`: [even, odd] of each parity block, entry by entry.
+
+    Over a block's rows (a, c) in order (`parity_stack`), the even sector takes the pairs a <= c and
+    the odd one a < c. For row pair q = (a, c) and column pair q' = (b, d) its entry is
+    combine(B[q, q'], B[q, (d, b)]) (rho_q rho_q'), computed in that order, where combine adds in
+    the even sector and subtracts in the odd one, and rho_q is 1/sqrt(2) where a = c, else 1.
+    """
+    r = np.outer(labels, labels) > 0
+    sectors = []
+    for block, mask in zip(blocks, (r, ~r)):
+        position = {(a, c): q for q, (a, c) in enumerate(zip(*np.nonzero(mask)))}  # the block's rows
+        for strict, combine in ((0, np.add), (1, np.subtract)):
+            pairs = [(a, c) for a, c in position if a + strict <= c]
+            rows = np.array([position[a, c] for a, c in pairs], int)
+            swapped = np.array([position[c, a] for a, c in pairs], int)
+            rho = np.array([np.sqrt(0.5) if a == c else 1.0 for a, c in pairs])
+            sectors.append(combine(block[np.ix_(rows, rows)], block[np.ix_(rows, swapped)]) * (rho[:, None] * rho))
+    return sectors
+
+
 def exchange_basis(labels) -> list[tuple[np.ndarray, int]]:
-    """The dense oracle for exchange sectors, built without `blocks._exchange_layout`.
+    """The dense oracle for exchange sectors, built without `blocks`.
 
     Per parity block (`parity_stack`) of two copies of one space of these labels: an orthogonal
     matrix of the exchange-even vectors (e_ac + e_ca) / |.| (a <= c), then of the exchange-odd

@@ -23,7 +23,7 @@ from opent.blocks import band_stack, exchange_sectors, parity_gather, sector_gat
 from opent.linalg import hs_inner, kron
 from opent.spin import parity_basis, product_rotation
 from conftest import (CNOT, copy_gather, exchange_basis, parity_stack, random_complex, random_exchange_unitary,
-                      random_parity_unitary, random_unitary, rebuilt_parity_blocks, swap_operator)
+                      random_parity_unitary, random_unitary, rebuilt_parity_blocks, split_exchange, swap_operator)
 
 D22 = BipartitionDims(2, 2)
 
@@ -297,6 +297,18 @@ def test_exchange_sectors_rebuild_both_parity_blocks(j):
         for sector in pair:
             np.testing.assert_allclose(sector, sector.T, rtol=0, atol=1e-15)
             np.testing.assert_allclose(sector.conj().T @ sector, np.eye(len(sector)), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("j", SPINS + (7.5,))
+def test_exchange_sectors_equal_the_entrywise_split_bit_for_bit(j):
+    # blocks with no symmetry at all, so that no mix-up of rows, columns or pairs can hide
+    labels = parity_basis(SpinSystem.from_j(j))[1]
+    r, rng = np.outer(labels, labels) > 0, np.random.default_rng(37)
+    blocks = [random_complex(rng, size, size) for size in (np.count_nonzero(r), np.count_nonzero(~r))]
+    got, expected = exchange_sectors([*blocks], labels)[0], split_exchange(blocks, labels)
+    assert len(got) == len(expected) == 4
+    for sector, expected_sector in zip(got, expected):
+        assert sector.shape == expected_sector.shape and np.array_equal(sector, expected_sector)
 
 
 def test_exchange_sectors_measure_a_broken_exchange():
