@@ -19,8 +19,8 @@ On two copies of one space (l1 = l2) a u that also commutes with the
 exchange of the copies, u[(a,c),(b,d')] = u[(c,a),(d',b)], has parity blocks
 that split into an exchange-even and an exchange-odd sector: the flip blocks
 of x'[(a,c),(b,d')] = u[(a,c),(b,d')], which `exchange_sectors` gathers as
-`parity_gather` gathers x's. `sector_gather` copies x's flip blocks, by the
-same band plan and copy, out of the rows of u that they read, rebuilt from
+`parity_gather` gathers x's, and hands back their gather: x's flip blocks,
+by the same plan and copy, from the rows of u that they read, rebuilt from
 the sectors one a at a time; so powers of u may be taken, and certified, in
 the sectors alone. One pair list (`_pairs`) orders all their rows.
 """
@@ -161,8 +161,8 @@ def parity_gather(l1, l2) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarra
     return gather
 
 
-def exchange_sectors(blocks: list, labels) -> tuple[list[np.ndarray], float]:
-    """The exchange sectors of u's two parity blocks, and max |u - u exchanged| over the blocks.
+def exchange_sectors(blocks: list, labels) -> tuple[list[np.ndarray], float, Callable[[Sequence[np.ndarray]], Iterator[np.ndarray]]]:
+    """The exchange sectors of u's two parity blocks, max |u - u exchanged| over the blocks, and a gather.
 
     u acts on two copies of one space, l1 = l2 = labels. If it commutes with their exchange,
     u[(a, c), (b, d)] = u[(c, a), (d, b)], each parity block splits into an exchange-even sector on
@@ -173,6 +173,16 @@ def exchange_sectors(blocks: list, labels) -> tuple[list[np.ndarray], float]:
     [even, odd] of block 0, then of block 1, each a matrix of its own size, which may be 0 x 0, and
     unitary and symmetric if u is. The blocks are taken out of the list `blocks`, so that each goes
     once its sectors exist, in a caller that kept no other reference to it.
+
+    The gather is `parity_gather` for u, or a power of it, as a function of its four sectors, on the
+    band plan that the split used. Its generator yields the same four flip blocks, each a new array,
+    with no parity block of u made whole. Per parity, one a at a time, it rebuilds from the sectors
+    the rows x[(a, b), (c, d)] of both flip blocks (b from a on), fills each band (`_flip_plan`) once
+    its last a is in, and keeps only the a's that unfilled bands read. Row q = (a, c) and column q'
+    of a parity block are (even[i, i'] (0.5 / rho_i)) (1 / rho_i') + (odd[j, j'] (s_q / 2)) s_q',
+    rounded in that order: i, j are the rows of q's pair in the two sectors (`_pairs`), and
+    s_q = sign(c - a). It holds both flip blocks of a parity and the rows of about a band of each,
+    and keeps no block it yielded.
     """
     (_, view), flips = _parity_layout(labels, labels), _flip_plan(m := len(labels), m)
     sectors, defect = [], []
@@ -184,23 +194,12 @@ def exchange_sectors(blocks: list, labels) -> tuple[list[np.ndarray], float]:
         sectors += [_flip(grids, spec, m) for spec in flips[odd]]
         blocks[odd] = grids = None  # the block goes once its sectors exist
     blocks.clear()
-    return sectors, float(np.max(defect))
+    return sectors, float(np.max(defect)), _sector_gather(flips, m)
 
 
-def sector_gather(labels) -> Callable[[Sequence[np.ndarray]], Iterator[np.ndarray]]:
-    """`parity_gather` for u on two copies of one space, as a function of its exchange sectors.
-
-    The generator takes the four sectors of u (`exchange_sectors`) and yields the same four flip
-    blocks, each a new array, with no parity block of u made whole. Per parity, one a at a time, it
-    rebuilds from the sectors the rows x[(a, b), (c, d)] of both flip blocks (b from a on), fills
-    each band (`_flip_plan`) once its last a is in, and keeps only the a's that unfilled bands read.
-    Row q = (a, c) and column q' of a parity block are (even[i, i'] (0.5 / rho_i)) (1 / rho_i') +
-    (odd[j, j'] (s_q / 2)) s_q', rounded in that order: i, j are the rows of q's pair in the two
-    sectors (`_pairs`), rho is that of `exchange_sectors`, and s_q = sign(c - a). It holds
-    both flip blocks of a parity and the rows of about a band of each, and keeps no block it yielded.
-    """
-    _, m = _parity_layout(labels, labels), len(labels)  # refuses bad labels
-    flips, pair, classes = _flip_plan(m, m), np.zeros((2, m, m), int), {}
+def _sector_gather(flips, m):
+    """The gather of `exchange_sectors` on its plan `flips` (`_flip_plan(m, m)`)."""
+    pair, classes = np.zeros((2, m, m), int), {}
     for k, (_, offset, _) in enumerate(_SPLITS):  # pair[k % 2, a, c]: the row of (a, c)'s pair in sector k, or 0
         a, c = _pairs(m, offset)
         pair[k % 2, a, c] = pair[k % 2, c, a] = np.arange(len(a))

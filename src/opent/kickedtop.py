@@ -21,9 +21,10 @@ of exponents, each product in place, and certifies each power's unitarity
 by a rounding bound or a Gram product. `kicked_spectra`, the one stream of
 Schmidt spectra of U_T^n shared by the `sweep` and `spectrum` commands,
 powers the blocks, or the sectors, in lockstep and takes each spectrum from
-the four flip blocks that `blocks` gathers from their powers. With its
-build, a call on its step holds under 2.45 times the two parity blocks'
-bytes, or about 1.6 times for identical tops.
+the four flip blocks that `blocks` gathers from their powers, the sectors'
+by the gather that their split hands back. With its build, a call on its
+step holds under 2.45 times the two parity blocks' bytes, or about 1.6
+times for identical tops.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .blocks import band_stack, exchange_sectors, parity_gather, sector_gather
+from .blocks import band_stack, exchange_sectors, parity_gather
 from .linalg import kron, matmul_in_place, row_bands, unitarity_residual
 from .schmidt import BipartitionDims, SchmidtSpectrum, schmidt_spectrum
 from .spin import SpinSystem, check_phase, parity_basis, zz_phases
@@ -235,8 +236,8 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     all run in lockstep, and each power must stay symmetric to DRIFT_TOL. The
     four realigned flip blocks of each sample are copied from strided views of
     the blocks' powers (`parity_gather`), or from V^n's rows rebuilt from the
-    sectors' powers one a at a time (`sector_gather`), and each spectrum must
-    meet the sum rule.
+    sectors' powers one a at a time (the gather that `exchange_sectors` hands
+    back, on the plan of its split), and each spectrum must meet the sum rule.
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     blocks, off, l1, l2 = parity_floquet(params)
@@ -246,7 +247,7 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     _check_symmetric(blocks, "U_T in the parity basis")
     identical = params.j1 == params.j2 and params.k1 == params.k2
     if identical:
-        blocks, swapped = exchange_sectors(blocks, l1)  # lets each block go once it is split
+        blocks, swapped, gather = exchange_sectors(blocks, l1)  # lets each block go once it is split
         if not swapped <= DRIFT_TOL:
             raise RuntimeError(f"U_T breaks the exchange of two identical tops: residual "
                                f"{swapped:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
@@ -254,8 +255,8 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     del blocks  # each power_sequence drops its block once its step exists
     for samples in streams:  # the parity +1 and -1 blocks, or the even and odd sectors of each
         n, powers = samples[0].n, [sample.matrix for sample in samples]
-        if n == ns.start:  # past the set-up
-            gather = sector_gather(l1) if identical else parity_gather(l1, l2)
+        if n == ns.start and not identical:  # past the set-up
+            gather = parity_gather(l1, l2)
         _check_symmetric(powers, f"power n={n}")
         spec = schmidt_spectrum(gather(powers), dims)
         spec.check_sum_rule(f"power n={n}")

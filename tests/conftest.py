@@ -92,7 +92,7 @@ def copy_gather(l1, l2):
 
 
 def rebuilt_parity_blocks(sectors, labels) -> list[np.ndarray]:
-    """The reference for `blocks.sector_gather`'s rows: both whole parity blocks from the four sectors.
+    """The reference for the rows of `blocks.exchange_sectors`' gather: both whole parity blocks from the sectors.
 
     Per block, of rows (a, c) in order (`parity_stack`), entry (q, q') is
     (even[i, i'] (0.5 / rho_q)) (1 / rho_q') + (odd[j, j'] (s_q / 2)) s_q', computed in that order,

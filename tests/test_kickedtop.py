@@ -248,6 +248,20 @@ def test_kicked_spectra_power_the_exchange_sectors_of_identical_tops_alone(monke
     assert not sectors or 0 < sum(sizes) == sum(map(len, blocks)) and len(sizes) == 4
 
 
+@pytest.mark.parametrize("spins, plans", [((1.5, 1.5), [(4, 4)]), ((1, 1.5), [(3, 4)])])
+def test_kicked_spectra_build_one_flip_plan_per_call(monkeypatch, spins, plans):
+    # identical tops gather by the plan of their exchange split, other spins by parity_gather's
+    built, real = [], opent.blocks._flip_plan
+
+    def counting(n, m):
+        built.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(opent.blocks, "_flip_plan", counting)
+    assert [n for n, _ in kickedtop.kicked_spectra(KickedTopParams(*spins, 6, 6, 1), range(2, 9, 3))] == [2, 5, 8]
+    assert built == plans
+
+
 def test_kicked_spectra_reject_an_operator_that_is_not_symmetric(monkeypatch):
     p = KickedTopParams(1, 1.5, 6.0, 6.0, 1.0)
     blocks, off, l1, l2 = parity_floquet(p)

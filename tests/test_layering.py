@@ -14,11 +14,22 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opent"
 
 
 def private_imports(source: str) -> list[str]:
-    """`module.name` for each `_`-prefixed name that the source imports from an opent module."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+    """`module.name` for each `_`-prefixed name that the source takes from an opent module.
+
+    That is each such name it imports, then each it reads as an attribute `X._name` of a module X
+    bound by `from . import X`, `from opent import X` or `import opent.X`.
+    """
+    found, modules, tree = [], set(), ast.parse(source)
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "opent"):
             found += [f"{node.module or ''}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+            if node.module in (None, "opent"):  # the names are modules of the package
+                modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name.startswith("opent.")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value) in modules:
+            found.append(f"{ast.unparse(node.value)}.{node.attr}")
     return found
 
 
@@ -32,8 +43,13 @@ def test_the_layering_check_sees_a_private_import():
 from __future__ import annotations
 from numpy import _private
 from .schmidt import _parity_layout, realign
+from . import blocks
+from opent import spin as s
+import opent.linalg
 def f():
     from opent.linalg import _hidden
     from . import _module
+    return blocks._flip_plan, blocks.band_stack, s._jz, opent.linalg._bands, blocks.x._private
 """
-    assert private_imports(source) == ["schmidt._parity_layout", "opent.linalg._hidden", "._module"]
+    assert private_imports(source) == ["schmidt._parity_layout", "opent.linalg._hidden", "._module",
+                                       "blocks._flip_plan", "s._jz", "opent.linalg._bands"]

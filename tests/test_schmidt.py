@@ -19,7 +19,7 @@ from opent import (
     slin,
     svn,
 )
-from opent.blocks import band_stack, exchange_sectors, parity_gather, sector_gather
+from opent.blocks import band_stack, exchange_sectors, parity_gather
 from opent.linalg import hs_inner, kron
 from opent.spin import parity_basis, product_rotation
 from conftest import (CNOT, copy_gather, exchange_basis, parity_stack, random_complex, random_exchange_unitary,
@@ -285,7 +285,7 @@ def _symmetric_exchange_unitary(j, seed):
 @pytest.mark.parametrize("j", SPINS + (7.5,))
 def test_exchange_sectors_rebuild_both_parity_blocks(j):
     blocks, labels = _symmetric_exchange_unitary(j, 19)
-    sectors, defect = exchange_sectors([*blocks], labels)
+    sectors, defect, _ = exchange_sectors([*blocks], labels)
     assert defect < 1e-15 and len(sectors) == 4
     for block, (p, even), pair in zip(blocks, exchange_basis(labels), (sectors[:2], sectors[2:])):
         assert [len(sector) for sector in pair] == [even, len(p) - even]
@@ -326,9 +326,9 @@ def test_sector_gather_equals_the_parity_gather(j):
     # the flip blocks from the four sectors, u's rows rebuilt one a at a time, against those from
     # u's two parity blocks; at j = 1/2 the exchange-odd sector of parity +1 is 0 x 0
     blocks, labels = _symmetric_exchange_unitary(j, 29)
-    sectors, _ = exchange_sectors([*blocks], labels)
+    sectors, _, gather = exchange_sectors([*blocks], labels)
     assert j != 0.5 or sectors[1].shape == (0, 0)
-    got, expected = list(sector_gather(labels)(sectors)), list(parity_gather(labels, labels)(blocks))
+    got, expected = list(gather(sectors)), list(parity_gather(labels, labels)(blocks))
     assert len(got) == len(expected) == 4
     for block, expected_block in zip(got, expected):
         assert block.shape == expected_block.shape
@@ -341,8 +341,9 @@ def test_sector_gather_equals_the_copying_gather_of_the_rebuilt_blocks_bit_for_b
     # whole parity blocks rebuilt with the same arithmetic per entry; the sectors are squared so that
     # they are not exactly symmetric, as a power is not
     blocks, labels = _symmetric_exchange_unitary(j, 31)
-    sectors = [sector @ sector for sector in exchange_sectors([*blocks], labels)[0]]
-    got = list(sector_gather(labels)(sectors))
+    sectors, _, gather = exchange_sectors([*blocks], labels)
+    sectors = [sector @ sector for sector in sectors]
+    got = list(gather(sectors))
     expected = list(copy_gather(labels, labels)(rebuilt_parity_blocks(sectors, labels)))
     assert len(got) == len(expected) == 4
     for block, expected_block in zip(got, expected):
