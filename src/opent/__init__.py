@@ -8,10 +8,9 @@ import importlib
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "linalg": ("kron",),
-    "kickedtop": ("KickedTopParams", "UnitarityDriftError", "floquet"),
-    "rmt": ("LaguerreLaw", "fit_distance", "histogram", "laguerre_bounds", "laguerre_density",
-            "saturation_estimate"),
+    "linalg": ("UnitarityDriftError",),
+    "kickedtop": ("KickedTopParams", "floquet"),
+    "rmt": ("saturation_estimate",),
     "schmidt": ("BipartitionDims", "SchmidtSpectrum", "operator_entanglement", "realign",
                 "reshape_vec", "schmidt_spectrum", "slin", "svn"),
     "spin": ("SpinSystem", "basis_state", "diagonal_coupling", "jx", "jy", "jz", "product_rotation"),

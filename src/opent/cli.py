@@ -21,8 +21,9 @@ driver, `_run_points`, on a pool of OPENT_WORKERS processes capped by the
 point count and the usable CPUs, with one failure policy (see there). A
 point's stem (`k6_eps0.5`, `j2_1.5`) names its task, files and failure line.
 Outputs are written atomically, each file a run will replace is named on
-stderr before the pool starts, and outputs are byte-identical for any worker
-count at a fixed BLAS thread count.
+stderr by `_note_replaced` before the pool starts (`diagonal`: before its
+first SVD), and outputs are byte-identical for any worker count at a fixed
+BLAS thread count.
 
 At module level this file imports only the standard library, so that the
 `opent` entry point starts without numpy. Each subcommand imports the
@@ -166,6 +167,13 @@ def _atomic_write(path: Path, lines) -> None:
     os.replace(tmp, path)
 
 
+def _note_replaced(paths) -> None:
+    """Print `note: will replace PATH` on stderr for each of the paths that exists."""
+    for path in paths:
+        if path.exists():
+            print(f"note: will replace {path}", file=sys.stderr)
+
+
 def sweep_point(j1: float, j2: float, k: float, eps: float, n_max: int, stride: int):
     """Entropy time series [(n, S_V, S_L), ...] for one parameter point."""
     from .kickedtop import KickedTopParams, kicked_spectra
@@ -208,9 +216,7 @@ def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda tas
         return name not in futures or isinstance(futures[name].exception(), BrokenProcessPool)
 
     workers, futures, results = _worker_count(len(tasks)), {}, []
-    for path in (Path(out) / file.format(name) for name in tasks for file in files):
-        if path.exists():
-            print(f"note: will replace {path}", file=sys.stderr)
+    _note_replaced(Path(out) / file.format(name) for name in tasks for file in files)
     Path(out).mkdir(parents=True, exist_ok=True)
     run(sorted(tasks, key=lambda name: -cost(tasks[name])), workers)
     for name in tasks:
@@ -298,9 +304,10 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
     """CSV of operator entanglement of exp(-i alpha Jz x Jz) at each alpha.
 
     The spins may come in either order; the smaller one is top 1. Each alpha
-    must keep the largest phase |alpha| j1 j2 of alpha m1 m2 finite. Each
-    spectrum, and that of the product rotation in the closing comment, must
-    meet the sum rule.
+    must keep the largest phase |alpha| j1 j2 of alpha m1 m2 finite. An
+    existing output file is named on stderr once these are checked, before
+    the first SVD. Each spectrum, and that of the product rotation in the
+    closing comment, must meet the sum rule.
     """
     from .schmidt import BipartitionDims, schmidt_spectrum, slin, svn
     from .spin import SpinSystem, check_phase, rotation_phases, zz_phases
@@ -313,7 +320,8 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
         check_phase("alpha", alpha, s1.j * s2.j, "coupling phase |alpha| j1 j2")
     if 0.0 not in alphas:
         alphas = [0.0] + alphas
-    dims = BipartitionDims(s1.dim, s2.dim)
+    dims, output_path = BipartitionDims(s1.dim, s2.dim), Path(output_path)
+    _note_replaced([output_path])
     lines = ["alpha,S_V,S_L"]
     for alpha in alphas:
         spec = schmidt_spectrum(zz_phases(s1, s2, alpha), dims)
@@ -322,7 +330,6 @@ def run_diagonal(j1: float = 10.0, j2: float = 10.0,
     spec = schmidt_spectrum(rotation_phases(s1, s2, 0.7), dims)
     spec.check_sum_rule("the product rotation")
     lines.append(f"# S_V(product rotation, p=0.7) = {_fmt(svn(spec))}")
-    output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(output_path, lines)
     return output_path

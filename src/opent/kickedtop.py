@@ -24,7 +24,9 @@ powers the blocks, or the sectors, in lockstep and takes each spectrum from
 the four flip blocks that `blocks` gathers from their powers, the sectors'
 by the gather that their split hands back. With its build, a call on its
 step holds under 2.45 times the two parity blocks' bytes, or about 1.6
-times for identical tops.
+times for identical tops. Every invariant the stream checks aborts by the
+one rule of `linalg`: a defect above DRIFT_TOL (re-exported here), or nan,
+raises one `<what> <defect> exceeds 1e-08 at <where>` line.
 """
 
 from __future__ import annotations
@@ -36,25 +38,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .blocks import band_stack, exchange_sectors, parity_gather
-from .linalg import kron, matmul_in_place, row_bands, unitarity_residual
+from .linalg import (DRIFT_TOL, UnitarityDriftError, kron, matmul_in_place, require, transpose_defect,
+                     unitarity_residual)
 from .schmidt import BipartitionDims, SchmidtSpectrum, schmidt_spectrum
 from .spin import SpinSystem, check_phase, parity_basis, zz_phases
 
-# Abort threshold for unitarity drift of the powers.
-DRIFT_TOL = 1e-8
 # Unit roundoff of IEEE double precision, for the rounding bound of `power_sequence`.
 UNIT_ROUNDOFF = 2.0**-53
-
-
-class UnitarityDriftError(RuntimeError):
-    """Raised when a power of a unitary loses unitarity; `args` is (n, residual), so it pickles."""
-
-    def __init__(self, n: int, residual: float):
-        super().__init__(n, residual)
-        self.n, self.residual = n, residual
-
-    def __str__(self) -> str:
-        return f"unitarity residual {self.residual:.3e} exceeds {DRIFT_TOL:g} at power n={self.n}"
 
 
 @dataclass(frozen=True)
@@ -215,25 +205,18 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
         yield PowerSample(n, np.broadcast_to(acc, acc.shape), residual)  # read-only
 
 
-def _check_symmetric(matrices, where: str) -> None:
-    """Fail unless max |u - u^T| over the matrices u, by row bands, is at most DRIFT_TOL (not nan)."""
-    defect = float(np.max([np.abs(u[rows] - u[:, rows].T).max()
-                           for u in matrices for rows in row_bands(len(u))]))
-    if not defect <= DRIFT_TOL:
-        raise RuntimeError(f"transpose defect {defect:.3e} exceeds {DRIFT_TOL:g} at {where}")
-
-
 def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, SchmidtSpectrum]]:
     """Yield (n, SchmidtSpectrum of U_T^n) for each n in the range `ns`.
 
     U_T is built as the two parity blocks of the symmetric V of
     `parity_floquet`, a local-unitary conjugate; V's entries off its parity
-    blocks must be at most DRIFT_TOL, and so must max |V - V^T| over each
-    block. For identical tops (j1 = j2 and k1 = k2) each block is split into
-    its two exchange sectors (`exchange_sectors`), and V must commute with the
-    exchange to DRIFT_TOL. One `power_sequence` per block, or per sector,
-    powers it over `ns`, one product per sample, and certifies its unitarity;
-    all run in lockstep, and each power must stay symmetric to DRIFT_TOL. The
+    blocks must be at most DRIFT_TOL, and so must the `transpose_defect`
+    of its blocks. For identical tops (j1 = j2 and k1 = k2) each block is
+    split into its two exchange sectors (`exchange_sectors`), and V must
+    commute with the exchange to DRIFT_TOL. One `power_sequence` per block,
+    or per sector, powers it over `ns`, one product per sample, and certifies
+    its unitarity; all run in lockstep, and each power must stay symmetric
+    to DRIFT_TOL. Each of these checks is one `linalg.require`. The
     four realigned flip blocks of each sample are copied from strided views of
     the blocks' powers (`parity_gather`), or from V^n's rows rebuilt from the
     sectors' powers one a at a time (the gather that `exchange_sectors` hands
@@ -241,23 +224,20 @@ def kicked_spectra(params: KickedTopParams, ns: range) -> Iterator[tuple[int, Sc
     """
     dims = BipartitionDims(params.top1.dim, params.top2.dim)
     blocks, off, l1, l2 = parity_floquet(params)
-    if not off <= DRIFT_TOL:
-        raise RuntimeError(f"U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): off-block "
-                           f"residual {off:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
-    _check_symmetric(blocks, "U_T in the parity basis")
+    require(off, "U_T breaks the parity exp(-i pi Jy1) x exp(-i pi Jy2): off-block residual",
+            "U_T in the parity basis")
+    require(transpose_defect(blocks), "transpose defect", "U_T in the parity basis")
     identical = params.j1 == params.j2 and params.k1 == params.k2
     if identical:
         blocks, swapped, gather = exchange_sectors(blocks, l1)  # lets each block go once it is split
-        if not swapped <= DRIFT_TOL:
-            raise RuntimeError(f"U_T breaks the exchange of two identical tops: residual "
-                               f"{swapped:.3e} exceeds {DRIFT_TOL:g} at U_T in the parity basis")
+        require(swapped, "U_T breaks the exchange of two identical tops: residual", "U_T in the parity basis")
     streams = zip(*(power_sequence(block, ns) for block in blocks))
     del blocks  # each power_sequence drops its block once its step exists
     for samples in streams:  # the parity +1 and -1 blocks, or the even and odd sectors of each
         n, powers = samples[0].n, [sample.matrix for sample in samples]
         if n == ns.start and not identical:  # past the set-up
             gather = parity_gather(l1, l2)
-        _check_symmetric(powers, f"power n={n}")
+        require(transpose_defect(powers), "transpose defect", f"power n={n}")
         spec = schmidt_spectrum(gather(powers), dims)
         spec.check_sum_rule(f"power n={n}")
         yield n, spec

@@ -4,6 +4,14 @@ All matrices are plain numpy arrays of complex128 in row-major (C) order.
 These wrappers exist to pin down the contracts the rest of the code relies
 on: shape checks, descending singular values, ascending real eigenvalues,
 and explicit Hermiticity validation before eigendecompositions.
+
+It also holds the one abort rule of a run. The unitarity of U_T^n, U_T's
+parity and exchange symmetries, the transpose symmetry of its parity blocks
+and the sum rule sum(lambda) = N M are each measured as a defect; a defect
+that is not at most DRIFT_TOL, a nan included, ends its point with one line
+`<what> <defect> exceeds 1e-08 at <where>`. `require` writes and raises
+that line; `UnitarityDriftError`, which `kickedtop.power_sequence` raises
+with its power n and residual, reads the same.
 """
 
 from __future__ import annotations
@@ -14,6 +22,25 @@ import numpy as np
 HERMITICITY_RTOL = 1e-10
 # Row bands that a banded check, build or gather splits a matrix into.
 ROW_BANDS = 8
+# The abort bound of every invariant check.
+DRIFT_TOL = 1e-8
+
+
+def require(defect, what, where) -> None:
+    """Raise RuntimeError(`<what> <defect> exceeds 1e-08 at <where>`) unless defect <= DRIFT_TOL; nan fails."""
+    if not defect <= DRIFT_TOL:
+        raise RuntimeError(f"{what} {defect:.3e} exceeds {DRIFT_TOL:g} at {where}")
+
+
+class UnitarityDriftError(RuntimeError):
+    """Raised when a power of a unitary loses unitarity; `args` is (n, residual), so it pickles."""
+
+    def __init__(self, n: int, residual: float):
+        super().__init__(n, residual)
+        self.n, self.residual = n, residual
+
+    def __str__(self) -> str:  # the abort line of `require`
+        return f"unitarity residual {self.residual:.3e} exceeds {DRIFT_TOL:g} at power n={self.n}"
 
 
 def as_matrix(a) -> np.ndarray:
@@ -104,3 +131,9 @@ def unitarity_residual(u) -> float:
         np.einsum("ii->i", g[:, rows])[...] -= 1  # takes 1 off the diagonal (a writeable view) in place
         return np.abs(g).max()
     return float(np.max([defect(rows) for rows in row_bands(len(u))], initial=0.0))  # 0 x 0: no defect
+
+
+def transpose_defect(matrices) -> float:
+    """Max |u - u^T| over the square matrices u, a row band at a time; np.max keeps a nan in any."""
+    return float(np.max([np.abs(u[rows] - u[:, rows].T).max()
+                         for u in matrices for rows in row_bands(len(u))]))

@@ -12,6 +12,10 @@ n*m diagonal entries. Its realigned matrix X[(a,b),(c,d')] =
 delta_ab delta_cd' phi[a,c] is zero outside one n x m block, phi reshaped,
 so the coefficients are the squared singular values of that block followed
 by n^2 - n exact zeros.
+
+For a unitary the coefficients sum to n m, the sum rule that normalizes
+them. `SchmidtSpectrum.check_sum_rule` holds a spectrum to it by the one
+abort rule of `linalg.require`.
 """
 
 from __future__ import annotations
@@ -21,14 +25,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .linalg import as_matrix, singular_values
+from .linalg import as_matrix, require, singular_values
 
 # Coefficients below this fraction of the largest one count as zero for
 # rank reporting; they are kept in entropy sums.
 RANK_CUTOFF = 1e-12
-
-# Abort threshold for the sum-rule defect |sum(lambda) / (n m) - 1| of a unitary.
-SUM_RULE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,8 @@ class SchmidtSpectrum:
         return int(np.sum(self.lambdas > RANK_CUTOFF * self.lambdas.max(initial=0)))
 
     def check_sum_rule(self, where: str) -> None:
-        """Fail unless sum(lambda) = n m, as for a unitary, to SUM_RULE_TOL (nan fails)."""
-        defect = abs(self.lambdas.sum() / self.dims.total - 1)
-        if not defect <= SUM_RULE_TOL:
-            raise RuntimeError(f"sum-rule defect {defect:.3e} exceeds {SUM_RULE_TOL:g} at {where}")
+        """`linalg.require` the sum-rule defect |sum(lambda) / (n m) - 1| of a unitary at `where`."""
+        require(abs(self.lambdas.sum() / self.dims.total - 1), "sum-rule defect", where)
 
 
 def reshape_vec(a) -> np.ndarray:

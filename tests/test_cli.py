@@ -156,6 +156,7 @@ def test_cli_sweep_with_config_and_override(tmp_path):
      ["sweep_k1_eps0.1.csv", "sweep_k6_eps0.1.csv"]),
     (["spectrum", "--j1", "1", "--j2", "1", "--window", "2,10,4"],
      ["eigenvalues_j2_1.txt", "histogram_j2_1.csv"]),
+    (["diagonal", "--j1", "1", "--j2", "1.5", "--alpha", "0.3"], ["diagonal.csv"]),
 ])
 def test_a_run_names_each_output_file_it_replaces(tmp_path, args, names):
     out = tmp_path / "out"
@@ -215,6 +216,7 @@ def test_cli_unknown_config_key_fails_before_any_output(tmp_path):
     ["spectrum", "--j1", "1", "--j2", "1", "--eps", "nan", "--window", "2,4,2", "--bins", "5"],
     ["sweep", "--j1", "10", "--j2", "10", "--k", "1e308", "--eps", "1", "--nmax", "2", "--stride", "1"],
     ["spectrum", "--j1", "10", "--j2", "20", "--eps", "1e308", "--window", "2,4,2", "--bins", "5"],
+    ["spectrum", "--j1", "1", "--j2", "1", "--window", "2,10,0"],  # window stride must be positive
 ])
 def test_cli_bad_spin_or_window_fails_before_any_work(tmp_path, args):
     res = run_cli([*args, "--out", str(tmp_path / "out")])
@@ -298,6 +300,26 @@ def test_run_diagonal_checks_the_sum_rule(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="sum-rule defect .* at alpha=0"):
         cli.run_diagonal(1, 1.5, [0.3], tmp_path / "diagonal.csv")
     assert not (tmp_path / "diagonal.csv").exists()
+
+
+def test_diagonal_names_the_file_it_replaces_before_its_first_svd(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "diagonal.csv"
+    path.write_text("old\n")
+
+    def failing(a):  # the first SVD finds the note already printed
+        assert capsys.readouterr().err == f"note: will replace {path}\n"
+        raise np.linalg.LinAlgError("boom")
+
+    monkeypatch.setattr(schmidt, "singular_values", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="boom"):
+        cli.run_diagonal(1, 1.5, [0.3], path)
+    assert path.read_text() == "old\n"  # a run that fails after the note keeps the old file
+
+
+def test_run_diagonal_rejects_an_empty_alpha_list_before_any_output(tmp_path):
+    with pytest.raises(ValueError, match="alpha list must be non-empty"):
+        cli.run_diagonal(alpha_values=(), output_path=tmp_path / "out" / "diagonal.csv")
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_floats_have_12_significant_digits(tmp_path):

@@ -24,7 +24,7 @@ from opent import (
 import opent
 from opent import kickedtop
 from opent.kickedtop import DRIFT_TOL, kick_phases, parity_floquet, power_sequence
-from opent.linalg import hs_inner, kron, row_bands, unitarity_residual
+from opent.linalg import hs_inner, kron, require, row_bands, transpose_defect, unitarity_residual
 from opent.blocks import band_stack, exchange_sectors
 from opent.schmidt import realign
 from opent.spin import jy, parity_basis
@@ -321,7 +321,7 @@ def test_checks_fail_when_only_the_last_layer_or_band_is_nan():
     with pytest.raises(UnitarityDriftError, match="residual nan"):
         list(power_sequence(blocks[-1], range(1, 2)))
     with pytest.raises(RuntimeError, match="transpose defect nan exceeds"):
-        kickedtop._check_symmetric(blocks, "the blocks")  # only the last band of the last is nan
+        require(transpose_defect(blocks), "transpose defect", "the blocks")  # only the last band of the last is nan
     layer = blocks[0].copy()
     layer[:, -1] = np.nan  # every Gram band of this one matrix, the first of them included
     assert np.isnan(unitarity_residual(layer))

@@ -2,7 +2,8 @@
 
 A `_`-prefixed name is a module's own detail. A module that needs another's
 private name shares a decision with it, and that decision belongs in one
-module. Tests may still import private names.
+module. Tests may still import private names. The abort rule of a broken
+invariant is such a decision too: only `linalg` writes its line.
 """
 
 import ast
@@ -53,3 +54,27 @@ def f():
 """
     assert private_imports(source) == ["schmidt._parity_layout", "opent.linalg._hidden", "._module",
                                        "blocks._flip_plan", "s._jz", "opent.linalg._bands"]
+
+
+def abort_lines(source: str) -> list[int]:
+    """The line of each f-string of the source whose text holds "exceeds", the word of the abort line."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.JoinedStr)
+                  and any(isinstance(part, ast.Constant) and "exceeds" in part.value for part in node.values))
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"],
+                         ids=lambda path: path.name)
+def test_only_linalg_writes_the_abort_line(path):
+    assert abort_lines(path.read_text()) == []
+
+
+def test_the_abort_line_check_sees_an_f_string_that_writes_it():
+    source = """
+def f(x, tol):
+    if not x <= tol:
+        raise RuntimeError(f"U_T breaks it: "
+                           f"residual {x:.3e} exceeds {tol:g} at U_T")
+    print("a plain string that exceeds nothing")
+    return f"{x} is fine", f"{x} exceeds"
+"""
+    assert abort_lines(source) == [4, 7]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,45 @@ def test_unitarity_residual_examples():
     for shape in ((2, 3), (2, 3, 3), (3,)):  # a matrix only, and a square one
         with pytest.raises(ValueError, match="square matrix"):
             linalg.unitarity_residual(np.ones(shape))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: linalg.as_matrix(np.zeros(3)), ValueError, "expected a matrix, got ndim=1"),
+    (lambda: linalg.eigh(np.zeros((2, 3))), ValueError, "eigh requires a square matrix, got (2, 3)"),
+    (lambda: linalg.singular_values(np.full((2, 2), np.nan)), np.linalg.LinAlgError, "shape (2, 2), |a|_max=nan"),
+])
+def test_bad_input_raises_one_error_that_names_it(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a nan input must not warn on its way to the error
+        with pytest.raises(error) as info:
+            call()
+    assert message in str(info.value)
+
+
+def test_require_passes_a_defect_at_the_bound_and_fails_one_above_it_or_nan():
+    assert linalg.DRIFT_TOL == 1e-8
+    for defect in (0.0, 1e-12, linalg.DRIFT_TOL):
+        linalg.require(defect, "some defect", "the bound")
+    for defect in (np.nan, float("nan"), np.nextafter(1e-8, 1), 2e-8, np.inf):
+        with pytest.raises(RuntimeError) as info:
+            linalg.require(defect, "some defect", "power n=3")
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == f"some defect {defect:.3e} exceeds 1e-08 at power n=3"
+
+
+def test_unitarity_drift_error_reads_as_the_abort_line_of_require():
+    with pytest.raises(RuntimeError) as info:
+        linalg.require(1e-6, "unitarity residual", "power n=5")
+    assert str(linalg.UnitarityDriftError(5, 1e-6)) == str(info.value)
+
+
+def test_transpose_defect_is_the_largest_over_all_matrices_and_bands():
+    sym = np.arange(16.0).reshape(4, 4)
+    sym = sym + sym.T
+    skew = np.zeros((20, 20), complex)
+    skew[19, 0] = 2j  # in the last row band alone
+    assert linalg.transpose_defect([sym]) == 0
+    assert linalg.transpose_defect([sym, np.zeros((0, 0)), skew]) == 2
 
 
 def test_row_bands_cover_the_rows_in_at_most_row_bands_bands():

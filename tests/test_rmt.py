@@ -23,6 +23,11 @@ def test_bounds_rejects_small_q():
         rmt.laguerre_bounds(21, 0.5)
 
 
+def test_bounds_reject_an_empty_subsystem():
+    with pytest.raises(ValueError, match="n_small must be >= 1"):
+        rmt.laguerre_bounds(0, 1.0)
+
+
 def test_law_from_dims():
     law = rmt.LaguerreLaw.from_dims(21, 41)
     assert law.q == pytest.approx((41 / 21) ** 2)
