@@ -17,9 +17,12 @@ Parameters come from an optional `key=value` config file (# comments
 allowed) with command-line flags taking precedence; one table per subcommand
 declares its flags, config keys and help, so another subcommand's flag or
 key is an error. `sweep` and `spectrum` run their grid points through one
-driver, `_run_points`, on a pool of OPENT_WORKERS processes capped by the
-point count and the usable CPUs, with one failure policy (see there). A
-point's stem (`k6_eps0.5`, `j2_1.5`) names its task, files and failure line.
+driver, `_run_points`, on a pool that it owns: OPENT_WORKERS processes,
+capped by the point count and the usable CPUs, forked up front and fed
+point names over one pipe each, with one failure policy and one interrupt
+policy (see there). Ctrl-C or SIGTERM stops a pool run with one line on
+stderr and exit code 130 or 143, and leaves no worker behind. A point's stem
+(`k6_eps0.5`, `j2_1.5`) names its task, files and failure line.
 Outputs are written atomically, each file a run will replace is named on
 stderr by `_note_replaced` before the pool starts (`diagonal`: before its
 first SVD), and outputs are byte-identical for any worker count at a fixed
@@ -28,9 +31,9 @@ BLAS thread count.
 At module level this file imports only the standard library, so that the
 `opent` entry point starts without numpy. Each subcommand imports the
 compute modules it runs when it runs: `saturation` loads no numpy and
-`diagonal` no process pool. `run_sweep` and `run_spectrum` import what their
-pool workers run before the pool forks, so no worker imports a module of its
-own. Before anything loads numpy, `main` sets OPENBLAS_NUM_THREADS,
+`diagonal` no `multiprocessing`. `run_sweep` and `run_spectrum` import what
+their pool workers run before the pool forks, so no worker imports a module
+of its own. Before anything loads numpy, `main` sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the user set any of them,
 so each pool worker runs one BLAS thread.
 """
@@ -161,8 +164,12 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(requested, tasks, cpus))
 
 
+def _tmp_path(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
+
+
 def _atomic_write(path: Path, lines) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _tmp_path(path)
     tmp.write_text("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
@@ -191,6 +198,30 @@ def _attempt(point, task):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _serve(conn, point, tasks: dict, parent_ends, mask) -> None:
+    """A pool worker: run the task that each name read from `conn` names and send back its result.
+
+    It ignores SIGINT, which the parent acts on, dies of SIGTERM, and then
+    takes the parent's signal mask from before the fork. It closes its copies
+    of the parent's pipe ends, so that it reads EOF, and exits, once the
+    parent closes its end or dies.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    for end in parent_ends:
+        end.close()
+    with suppress(EOFError, OSError):
+        while True:
+            conn.send(_attempt(point, tasks[conn.recv()]))
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda task: 0,
                 report=lambda result: None) -> list:
     """Run `point` on each task of {point name: task} on the pool; return the results in task order.
@@ -198,31 +229,89 @@ def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda tas
     The pool is sized, and each file under `out` that a point will replace
     (`files`, formatted with its name) is named on stderr, before the output
     directory is made (a point that then fails keeps its old files). The
-    costliest tasks start first, so that the longest one does not start
-    last. Results go to `report` in task order. A point left unfinished by a
-    pool that broke (a worker died) reruns once, alone in a new pool, or fails
-    as "worker died". A failed point is reported on stderr as one line that
-    names it and the rest of the grid still runs; then this raises.
+    workers are forked up front and inherit `point` and `tasks`; each runs
+    the names that its own pipe sends it until the parent closes that pipe.
+    The costliest remaining task goes to the next idle worker, so that the
+    longest one does not start last. Results go to `report` in task order.
+    A failed point is reported on stderr as one line that names it and the
+    rest of the grid still runs; then this raises. A worker that dies fails
+    only its own point, as "worker died", and is replaced while tasks remain.
+
+    On KeyboardInterrupt, or on SIGTERM (which raises SystemExit(143) here),
+    the workers are killed and reaped, the `.tmp` file of each point cut off
+    is removed, one line on stderr names the points written, and the
+    exception goes on. The previous SIGTERM handler is restored on return.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import multiprocessing
+    import signal
+    from multiprocessing.connection import wait
 
-    def run(names, workers):  # a submission that finds the pool broken submits no more
-        with ProcessPoolExecutor(max_workers=workers) as pool, suppress(BrokenProcessPool):
-            for name in names:
-                futures[name] = pool.submit(_attempt, point, tasks[name])
+    fork = multiprocessing.get_context("fork").Process
+    queue = sorted(tasks, key=lambda name: -cost(tasks[name]))
+    workers, running, outcomes = {}, {}, {}  # pipe end -> worker, pipe end -> name, name -> result
 
-    def broken(name):
-        return name not in futures or isinstance(futures[name].exception(), BrokenProcessPool)
+    def start():  # fork one worker; SIGINT and SIGTERM wait until it is registered
+        end, child_end = multiprocessing.Pipe()
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        try:
+            worker = fork(target=_serve, args=(child_end, point, tasks, [*workers, end], held))
+            worker.start()
+            workers[end] = worker
+            child_end.close()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        return end
 
-    workers, futures, results = _worker_count(len(tasks)), {}, []
+    def retire(end):  # the worker reads EOF and exits, unless it is dead already
+        end.close()
+        workers.pop(end).join()
+
+    def assign(end):  # the costliest remaining task, or a closed pipe once none remains
+        if queue:
+            running[end] = queue.pop(0)
+            end.send(running[end])
+        else:
+            retire(end)
+
+    def stop():  # kill and reap the workers left
+        for end in list(workers):
+            workers[end].kill()
+            retire(end)
+
+    count = _worker_count(len(tasks))
     _note_replaced(Path(out) / file.format(name) for name in tasks for file in files)
     Path(out).mkdir(parents=True, exist_ok=True)
-    run(sorted(tasks, key=lambda name: -cost(tasks[name])), workers)
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        for _ in range(count):
+            assign(start())
+        while running:
+            for end in wait(list(running)):
+                name = running.pop(end)
+                try:
+                    outcomes[name] = end.recv()
+                except (EOFError, OSError):  # its worker died
+                    outcomes[name] = "worker died"
+                    retire(end)
+                    if queue:
+                        assign(start())
+                else:
+                    assign(end)
+    except (KeyboardInterrupt, SystemExit):
+        stop()
+        for name in running.values():
+            for file in files:
+                _tmp_path(Path(out) / file.format(name)).unlink(missing_ok=True)
+        written = [name for name in tasks if not isinstance(outcomes.get(name, ""), str)]
+        print(f"error: interrupted: {len(written)} of {len(tasks)} {kind} points written "
+              f"({', '.join(written)})", file=sys.stderr)
+        raise
+    finally:
+        stop()
+        signal.signal(signal.SIGTERM, previous)
+    results = []
     for name in tasks:
-        if broken(name):
-            run([name], 1)
-        if isinstance(result := "worker died" if broken(name) else futures[name].result(), str):
+        if isinstance(result := outcomes[name], str):
             print(f"error: {kind} point {name}: {result}", file=sys.stderr)
         else:
             report(result)
@@ -446,6 +535,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # one machine-parseable line, nonzero exit
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # a pool run has named the points it wrote
+        return 130  # 128 + SIGINT, as a shell reports it
     return 0
 
 

@@ -1,9 +1,9 @@
 """End-to-end acceptance suite.
 
 Each test prints one PASS/FAIL line per criterion. The kicked-top sweeps
-at j = 10 are the slow part (a few minutes total on one core); entropy
-time series are computed once per (k, eps) point and shared across
-criteria through a session-scoped cache.
+at j = 10 are the slow part (about 30 s on one core); the entropy time
+series that criteria 3-6 and 8 read are computed in one pass on the CLI's
+process pool and shared across criteria through a session-scoped fixture.
 """
 
 import math
@@ -47,21 +47,28 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+def _sweep_series(key):
+    """A pool point: the sweep rows of one (k, eps) key at j1 = j2 = J."""
+    k, eps = key
+    return sweep_point(J, J, k, eps, N_MAX, STRIDE)
+
+
 @pytest.fixture(scope="session")
-def entropy_series():
-    """(k, eps) -> (n array, S_V array) for j1 = j2 = 10, computed on demand."""
-    cache: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+def entropy_series(tmp_path_factory):
+    """(k, eps) -> (n array, S_V array) for j1 = j2 = 10.
 
-    def get(k: float, eps: float):
-        key = (k, eps)
-        if key not in cache:
-            rows = sweep_point(J, J, k, eps, N_MAX, STRIDE)
-            ns = np.array([r[0] for r in rows])
-            svs = np.array([r[1] for r in rows])
-            cache[key] = (ns, svs)
-        return cache[key]
+    The 14 keys that criteria 3-6 and 8 read are computed in one pass, on the
+    CLI's pool of workers (`OPENT_WORKERS`, capped by the usable CPUs).
+    """
+    from opent.cli import _run_points
 
-    return get
+    keys = [(k, eps) for eps in (1.0, 1e-1, 1e-2) for k in (1.0, 2.0, 3.0, 6.0)]
+    keys += [(1.0, 1e-3), (6.0, 1e-3)]
+    tasks = {f"k{k:g}_eps{eps:g}": (k, eps) for k, eps in keys}
+    rows = _run_points("acceptance", _sweep_series, tasks, tmp_path_factory.mktemp("series"), [])
+    cache = {key: (np.array([r[0] for r in series]), np.array([r[1] for r in series]))
+             for key, series in zip(keys, rows)}
+    return lambda k, eps: cache[k, eps]
 
 
 def _window_mean(series, k, eps, lo, hi):

@@ -1,9 +1,13 @@
+import itertools
 import json
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import time
+from contextlib import nullcontext, suppress
 
 import numpy as np
 import pytest
@@ -441,25 +445,147 @@ def test_spectrum_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, 
 
 
 def dying_point(task):
-    """A pool point that writes {name}.txt, except that a worker given the name "dies" kills itself."""
+    """A pool point that marks each of its runs in runs/{name} and writes {name}.txt.
+
+    A worker given the name "dies" kills itself, and "slow" sleeps first, so that it is
+    still running when "dies" kills its own worker.
+    """
     out, name, parent_pid = task
+    with open(out / "runs" / name, "a") as marks:
+        marks.write("+")
     if name == "dies" and os.getpid() != parent_pid:
         os.kill(os.getpid(), signal.SIGKILL)
+    if name == "slow":
+        time.sleep(0.5)
     (path := out / f"{name}.txt").write_text(name)
     return path  # not a str, which `_attempt` keeps for a failure
 
 
 def test_a_dead_worker_costs_only_its_own_point(tmp_path, monkeypatch, capsys):
-    # the dead worker breaks the pool and every point it had not finished; each reruns alone
-    # in a pool of one, where "dies" kills that worker too
+    # "dies" kills its worker while "slow" runs on the other one; only "dies" fails, a new
+    # worker takes the points left, and no point runs twice
     monkeypatch.setenv("OPENT_WORKERS", "2")
-    names, reported = ["a", "dies", "b", "c"], []
+    (tmp_path / "runs").mkdir()
+    names, reported = ["slow", "dies", "a", "b", "c"], []
     tasks = {name: (tmp_path, name, os.getpid()) for name in names}
-    with pytest.raises(RuntimeError, match="^1 of 4 test points failed$"):
+    with pytest.raises(RuntimeError, match="^1 of 5 test points failed$"):
         cli._run_points("test", dying_point, tasks, tmp_path, ["{}.txt"], report=reported.append)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "c.txt"]
+    assert sorted(p.name for p in tmp_path.glob("*.txt")) == ["a.txt", "b.txt", "c.txt", "slow.txt"]
+    assert {p.name: p.read_text() for p in (tmp_path / "runs").iterdir()} == dict.fromkeys(names, "+")
     assert capsys.readouterr().err.splitlines() == ["error: test point dies: worker died"]
-    assert [path.name for path in reported] == ["a.txt", "b.txt", "c.txt"]
+    assert [path.name for path in reported] == ["slow.txt", "a.txt", "b.txt", "c.txt"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_pool_of_one_replaces_its_dead_worker(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("OPENT_WORKERS", "1")
+    (tmp_path / "runs").mkdir()
+    tasks = {name: (tmp_path, name, os.getpid()) for name in ("dies", "a")}
+    with pytest.raises(RuntimeError, match="^1 of 2 test points failed$"):
+        cli._run_points("test", dying_point, tasks, tmp_path, ["{}.txt"])
+    assert [p.name for p in tmp_path.glob("*.txt")] == ["a.txt"]
+    assert capsys.readouterr().err.splitlines() == ["error: test point dies: worker died"]
+    assert multiprocessing.active_children() == []
+
+
+def timed_point(name):
+    """A pool point that sleeps briefly and returns (its pid, start, end); "bad" fails."""
+    start = time.monotonic()
+    time.sleep(0.05)
+    if name == "bad":
+        raise ValueError("bad point")
+    return os.getpid(), start, time.monotonic()
+
+
+@pytest.mark.parametrize("names", [list("abcdef"), ["a", "bad", "c", "d"]])
+def test_the_pool_runs_at_most_worker_count_points_at_once_and_leaves_no_child(
+        tmp_path, monkeypatch, capsys, names):
+    monkeypatch.setenv("OPENT_WORKERS", "3")
+    results, failed = [], "bad" in names
+    with pytest.raises(RuntimeError, match="^1 of 4 test points failed$") if failed else nullcontext():
+        cli._run_points("test", timed_point, {name: name for name in names}, tmp_path, [],
+                        report=results.append)
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == "error: test point bad: ValueError: bad point\n" * failed
+    assert len(results) == len(names) - failed
+    workers = cli._worker_count(len(names))
+    edges = sorted([(start, 1) for _, start, _ in results] + [(end, -1) for _, _, end in results])
+    assert max(itertools.accumulate(step for _, step in edges)) <= workers
+    pids = {pid for pid, _, _ in results}
+    assert len(pids) <= workers and os.getpid() not in pids
+
+
+def large_point(name):
+    return name.encode() * (1 << 20)
+
+
+def test_a_result_larger_than_a_pipe_buffer_comes_back_intact(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENT_WORKERS", "2")
+    tasks = {name: name for name in ("a", "bc")}
+    assert cli._run_points("test", large_point, tasks, tmp_path, []) == [b"a" * (1 << 20),
+                                                                          b"bc" * (1 << 20)]
+
+
+# A sweep whose points hold their .tmp file for a minute before they write, except k1_eps0.1,
+# which writes at once; each worker leaves its pid in the directory of argv[1].
+INTERRUPTED_SWEEP = """
+import os, sys, time
+from pathlib import Path
+import opent.cli as cli
+
+def slow_point(args):
+    cfg, k, eps = args
+    Path(sys.argv[1], str(os.getpid())).touch()
+    path = cfg.output_dir / cli.SWEEP_FILES[0].format(cli._sweep_stem(k, eps))
+    cli._tmp_path(path).write_text("new\\n")
+    time.sleep(0 if (k, eps) == (1, 0.1) else 60)
+    os.replace(cli._tmp_path(path), path)
+    return path
+
+cli._try_sweep_point = slow_point
+sys.exit(cli.main(["sweep", "--j1", "1", "--j2", "1", "--k", "1,2", "--eps", "0.1,1", "--nmax", "2",
+                   "--stride", "1", "--out", sys.argv[2]]))
+"""
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("signum, group", [(signal.SIGINT, True), (signal.SIGTERM, False)],
+                         ids=["sigint-to-the-group", "sigterm-to-the-main-process"])
+def test_an_interrupted_run_stops_its_workers_and_keeps_finished_and_old_files(
+        tmp_path, monkeypatch, signum, group):
+    # Ctrl-C signals the whole process group; `kill PID` signals the main process only.
+    # The signal comes once k1_eps0.1 is written and every worker holds a .tmp file.
+    monkeypatch.setenv("OPENT_WORKERS", "2")
+    workers, pids, out = cli._worker_count(4), tmp_path / "pids", tmp_path / "out"
+    pids.mkdir()
+    out.mkdir()
+    (out / "sweep_k1_eps1.csv").write_text("old\n")
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED_SWEEP, str(pids), str(out)],
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(out.glob("*.tmp"))) < workers or not (out / "sweep_k1_eps0.1.csv").exists():
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.02)
+        (os.killpg if group else os.kill)(proc.pid, signum)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 128 + signum
+    assert err.splitlines()[-1] == "error: interrupted: 1 of 4 sweep points written (k1_eps0.1)"
+    assert len(err.splitlines()) == 2  # and the note that sweep_k1_eps1.csv will be replaced
+    assert {p.name: p.read_text() for p in out.iterdir()} == {"sweep_k1_eps0.1.csv": "new\n",
+                                                               "sweep_k1_eps1.csv": "old\n"}
+    worker_pids = [int(p.name) for p in pids.iterdir()]
+    assert len(worker_pids) == workers and not any(map(alive, worker_pids))
 
 
 @pytest.mark.parametrize("flag", ["--k", "--eps"])
@@ -532,7 +658,7 @@ def test_import_and_saturation_load_no_numpy(code):
 
 def test_diagonal_loads_no_process_pool(tmp_path):
     code = (f"import sys, opent.cli; opent.cli.main(['diagonal', '--j1', '1', '--j2', '2', "
-            f"'--out', {str(tmp_path)!r}]); print('concurrent.futures' in sys.modules); "
+            f"'--out', {str(tmp_path)!r}]); print('multiprocessing' in sys.modules); "
             f"print(sorted({{'opent.kickedtop', 'opent.blocks'}} & set(sys.modules)))")
     assert fresh_python(code) == "False\n[]\n"
     assert (tmp_path / "diagonal.csv").exists()
