@@ -18,11 +18,12 @@ allowed) with command-line flags taking precedence; one table per subcommand
 declares its flags, config keys and help, so another subcommand's flag or
 key is an error. `sweep` and `spectrum` run their grid points through one
 driver, `_run_points`, on a pool that it owns: OPENT_WORKERS processes,
-capped by the point count and the usable CPUs, forked up front and fed
-point names over one pipe each, with one failure policy and one interrupt
-policy (see there). Ctrl-C or SIGTERM stops a pool run with one line on
-stderr and exit code 130 or 143, and leaves no worker behind. A point's stem
-(`k6_eps0.5`, `j2_1.5`) names its task, files and failure line.
+capped by the point count and the usable CPUs, forked up front with
+`os.fork`, each fed point names over one pipe and sending results back over
+another, with one failure policy and one interrupt policy (see there).
+Ctrl-C or SIGTERM stops a pool run with one line on stderr and exit code 130
+or 143, and leaves no worker behind. A point's stem (`k6_eps0.5`, `j2_1.5`)
+names its task, files and failure line.
 Outputs are written atomically, each file a run will replace is named on
 stderr by `_note_replaced` before the pool starts (`diagonal`: before its
 first SVD), and outputs are byte-identical for any worker count at a fixed
@@ -30,8 +31,8 @@ BLAS thread count.
 
 At module level this file imports only the standard library, so that the
 `opent` entry point starts without numpy. Each subcommand imports the
-compute modules it runs when it runs: `saturation` loads no numpy and
-`diagonal` no `multiprocessing`. `run_sweep` and `run_spectrum` import what
+compute modules it runs when it runs: `saturation` loads no numpy, and no
+subcommand loads `multiprocessing`. `run_sweep` and `run_spectrum` import what
 their pool workers run before the pool forks, so no worker imports a module
 of its own. Before anything loads numpy, `main` sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the user set any of them,
@@ -198,24 +199,54 @@ def _attempt(point, task):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _serve(conn, point, tasks: dict, parent_ends, mask) -> None:
-    """A pool worker: run the task that each name read from `conn` names and send back its result.
+def _send(fd: int, obj) -> None:
+    """Write `obj` to the pipe `fd` as one message: its pickle's length in 8 bytes, then the pickle."""
+    import pickle
+
+    data = pickle.dumps(obj)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytearray:
+    data = bytearray()
+    while len(data) < size:
+        if not (chunk := os.read(fd, size - len(data))):
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _recv(fd: int):
+    """Read one `_send` message from the pipe `fd`; EOFError if the pipe closes before it ends."""
+    import pickle
+
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _serve(task_fd: int, result_fd: int, point, tasks: dict, parent_fds, mask) -> None:
+    """A pool worker: run the task that each name read from `task_fd` names; write its result to `result_fd`.
 
     It ignores SIGINT, which the parent acts on, dies of SIGTERM, and then
     takes the parent's signal mask from before the fork. It closes its copies
-    of the parent's pipe ends, so that it reads EOF, and exits, once the
-    parent closes its end or dies.
+    of the parent's pipe ends, those of the other workers included, so that
+    it reads EOF, and returns, once the parent closes its end or dies. It
+    flushes sys.stdout and sys.stderr before it returns, since the worker
+    then leaves through `os._exit`.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    for end in parent_ends:
-        end.close()
+    for fd in parent_fds:
+        os.close(fd)
     with suppress(EOFError, OSError):
         while True:
-            conn.send(_attempt(point, tasks[conn.recv()]))
+            _send(result_fd, _attempt(point, tasks[_recv(task_fd)]))
+    sys.stdout.flush()
+    sys.stderr.flush()
 
 
 def _terminate(signum, frame):
@@ -229,53 +260,65 @@ def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda tas
     The pool is sized, and each file under `out` that a point will replace
     (`files`, formatted with its name) is named on stderr, before the output
     directory is made (a point that then fails keeps its old files). The
-    workers are forked up front and inherit `point` and `tasks`; each runs
-    the names that its own pipe sends it until the parent closes that pipe.
-    The costliest remaining task goes to the next idle worker, so that the
+    workers are forked up front with `os.fork` and inherit `point` and
+    `tasks`; each runs the names that its own pipe sends it, and sends each
+    result back on a second pipe, until the parent closes its pipes. The
+    costliest remaining task goes to the next idle worker, so that the
     longest one does not start last. Results go to `report` in task order.
     A failed point is reported on stderr as one line that names it and the
     rest of the grid still runs; then this raises. A worker that dies fails
     only its own point, as "worker died", and is replaced while tasks remain.
+    Every worker is reaped before this returns or raises.
 
     On KeyboardInterrupt, or on SIGTERM (which raises SystemExit(143) here),
-    the workers are killed and reaped, the `.tmp` file of each point cut off
-    is removed, one line on stderr names the points written, and the
-    exception goes on. The previous SIGTERM handler is restored on return.
+    the results that workers have already sent are read, the workers are
+    killed and reaped, the `.tmp` file of each point cut off is removed, one
+    line on stderr names the points written, and the exception goes on. The
+    previous SIGTERM handler is restored on return.
     """
-    import multiprocessing
+    import select
     import signal
-    from multiprocessing.connection import wait
 
-    fork = multiprocessing.get_context("fork").Process
     queue = sorted(tasks, key=lambda name: -cost(tasks[name]))
-    workers, running, outcomes = {}, {}, {}  # pipe end -> worker, pipe end -> name, name -> result
+    # result pipe -> (worker pid, task pipe), result pipe -> name, name -> result
+    workers, running, outcomes = {}, {}, {}
 
     def start():  # fork one worker; SIGINT and SIGTERM wait until it is registered
-        end, child_end = multiprocessing.Pipe()
+        (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+        parent_fds = [task_w, result_r, *workers, *(task for _, task in workers.values())]
         held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
-            worker = fork(target=_serve, args=(child_end, point, tasks, [*workers, end], held))
-            worker.start()
-            workers[end] = worker
-            child_end.close()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            if (pid := os.fork()) == 0:
+                try:
+                    _serve(task_r, result_w, point, tasks, parent_fds, held)
+                finally:
+                    os._exit(0)
+            workers[result_r] = pid, task_w
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        return end
+        os.close(task_r)
+        os.close(result_w)
+        return result_r
 
-    def retire(end):  # the worker reads EOF and exits, unless it is dead already
-        end.close()
-        workers.pop(end).join()
+    def retire(end):  # the worker reads EOF and exits, unless it is dead already; reap it
+        pid, task = workers.pop(end)
+        os.close(task)
+        os.close(end)
+        os.waitpid(pid, 0)
 
-    def assign(end):  # the costliest remaining task, or a closed pipe once none remains
+    def assign(end):  # the costliest remaining task, or closed pipes once none remains
         if queue:
             running[end] = queue.pop(0)
-            end.send(running[end])
+            with suppress(OSError):  # a dead worker fails this point once its pipe reads EOF
+                _send(workers[end][1], running[end])
         else:
             retire(end)
 
     def stop():  # kill and reap the workers left
         for end in list(workers):
-            workers[end].kill()
+            os.kill(workers[end][0], signal.SIGKILL)
             retire(end)
 
     count = _worker_count(len(tasks))
@@ -286,10 +329,10 @@ def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda tas
         for _ in range(count):
             assign(start())
         while running:
-            for end in wait(list(running)):
+            for end in select.select(list(running), [], [])[0]:
                 name = running.pop(end)
                 try:
-                    outcomes[name] = end.recv()
+                    outcomes[name] = _recv(end)
                 except (EOFError, OSError):  # its worker died
                     outcomes[name] = "worker died"
                     retire(end)
@@ -298,6 +341,9 @@ def _run_points(kind: str, point, tasks: dict, out: Path, files, cost=lambda tas
                 else:
                     assign(end)
     except (KeyboardInterrupt, SystemExit):
+        for end in select.select(list(running), [], [], 0)[0]:  # results sent before the signal
+            with suppress(EOFError, OSError):
+                outcomes[running[end]] = _recv(end)
         stop()
         for name in running.values():
             for file in files:

@@ -27,10 +27,6 @@ import numpy as np
 
 from .linalg import as_matrix, require, singular_values
 
-# Coefficients below this fraction of the largest one count as zero for
-# rank reporting; they are kept in entropy sums.
-RANK_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True)
 class BipartitionDims:
@@ -61,10 +57,6 @@ class SchmidtSpectrum:
     def normalized(self) -> np.ndarray:
         """Coefficients scaled to sum to 1 for a unitary operator."""
         return self.lambdas / self.dims.total
-
-    @property
-    def rank(self) -> int:
-        return int(np.sum(self.lambdas > RANK_CUTOFF * self.lambdas.max(initial=0)))
 
     def check_sum_rule(self, where: str) -> None:
         """`linalg.require` the sum-rule defect |sum(lambda) / (n m) - 1| of a unitary at `where`."""

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -445,20 +444,27 @@ def test_spectrum_reports_failed_point_and_exits_nonzero(tmp_path, monkeypatch, 
 
 
 def dying_point(task):
-    """A pool point that marks each of its runs in runs/{name} and writes {name}.txt.
+    """A pool point that writes its worker's pid to runs/{name} on each of its runs and writes {name}.txt.
 
     A worker given the name "dies" kills itself, and "slow" sleeps first, so that it is
     still running when "dies" kills its own worker.
     """
     out, name, parent_pid = task
     with open(out / "runs" / name, "a") as marks:
-        marks.write("+")
+        marks.write(f"{os.getpid()}\n")
     if name == "dies" and os.getpid() != parent_pid:
         os.kill(os.getpid(), signal.SIGKILL)
     if name == "slow":
         time.sleep(0.5)
     (path := out / f"{name}.txt").write_text(name)
     return path  # not a str, which `_attempt` keeps for a failure
+
+
+def assert_reaped(pids):
+    """Each pid is no child of this process any more: the pool reaped it, so waitpid finds nothing."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_a_dead_worker_costs_only_its_own_point(tmp_path, monkeypatch, capsys):
@@ -471,10 +477,11 @@ def test_a_dead_worker_costs_only_its_own_point(tmp_path, monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="^1 of 5 test points failed$"):
         cli._run_points("test", dying_point, tasks, tmp_path, ["{}.txt"], report=reported.append)
     assert sorted(p.name for p in tmp_path.glob("*.txt")) == ["a.txt", "b.txt", "c.txt", "slow.txt"]
-    assert {p.name: p.read_text() for p in (tmp_path / "runs").iterdir()} == dict.fromkeys(names, "+")
+    runs = {p.name: p.read_text().split() for p in (tmp_path / "runs").iterdir()}
+    assert sorted(runs) == sorted(names) and all(len(pids) == 1 for pids in runs.values())
     assert capsys.readouterr().err.splitlines() == ["error: test point dies: worker died"]
     assert [path.name for path in reported] == ["slow.txt", "a.txt", "b.txt", "c.txt"]
-    assert multiprocessing.active_children() == []
+    assert_reaped(int(pid) for pids in runs.values() for pid in pids)
 
 
 def test_a_pool_of_one_replaces_its_dead_worker(tmp_path, monkeypatch, capsys):
@@ -485,7 +492,37 @@ def test_a_pool_of_one_replaces_its_dead_worker(tmp_path, monkeypatch, capsys):
         cli._run_points("test", dying_point, tasks, tmp_path, ["{}.txt"])
     assert [p.name for p in tmp_path.glob("*.txt")] == ["a.txt"]
     assert capsys.readouterr().err.splitlines() == ["error: test point dies: worker died"]
-    assert multiprocessing.active_children() == []
+    assert_reaped(int(pid) for p in (tmp_path / "runs").iterdir() for pid in p.read_text().split())
+
+
+def _kill_worker(pid, data):
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, and left for the pool to reap
+    return data
+
+
+class KillsItsWorker(bytes):
+    """A result that kills the worker that sent it as the parent loads it."""
+
+    def __reduce__(self):  # runs in the worker, which pickles the result
+        return _kill_worker, (os.getpid(), bytes(self))
+
+
+def dies_after_its_result(name):
+    """A pool point whose result for "x" kills its worker once the parent has that result."""
+    return KillsItsWorker(b"x") if name == "x" else name.encode()
+
+
+def test_a_worker_that_dies_between_points_fails_only_the_point_sent_to_it(tmp_path, monkeypatch, capsys):
+    # the worker of "x" is dead before the parent sends it "a", so that send finds a closed pipe;
+    # "a" fails, and a new worker runs "b"
+    monkeypatch.setenv("OPENT_WORKERS", "1")
+    results = []
+    with pytest.raises(RuntimeError, match="^1 of 3 test points failed$"):
+        cli._run_points("test", dies_after_its_result, {name: name for name in "xab"}, tmp_path, [],
+                        report=results.append)
+    assert results == [b"x", b"b"]
+    assert capsys.readouterr().err.splitlines() == ["error: test point a: worker died"]
 
 
 def timed_point(name):
@@ -505,7 +542,7 @@ def test_the_pool_runs_at_most_worker_count_points_at_once_and_leaves_no_child(
     with pytest.raises(RuntimeError, match="^1 of 4 test points failed$") if failed else nullcontext():
         cli._run_points("test", timed_point, {name: name for name in names}, tmp_path, [],
                         report=results.append)
-    assert multiprocessing.active_children() == []
+    assert_reaped(pid for pid, _, _ in results)
     assert capsys.readouterr().err == "error: test point bad: ValueError: bad point\n" * failed
     assert len(results) == len(names) - failed
     workers = cli._worker_count(len(names))
@@ -662,6 +699,17 @@ def test_diagonal_loads_no_process_pool(tmp_path):
             f"print(sorted({{'opent.kickedtop', 'opent.blocks'}} & set(sys.modules)))")
     assert fresh_python(code) == "False\n[]\n"
     assert (tmp_path / "diagonal.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--j1", "1", "--j2", "1.5", "--k", "1,2", "--eps", "0.1", "--nmax", "4", "--stride", "2"],
+    ["spectrum", "--j1", "1", "--j2", "1,1.5", "--window", "4,12,4", "--bins", "5"],
+], ids=["sweep", "spectrum"])
+def test_the_pool_commands_load_no_multiprocessing(tmp_path, monkeypatch, args):
+    monkeypatch.setenv("OPENT_WORKERS", "2")
+    code = (f"import sys, opent.cli; code = opent.cli.main({[*args, '--out', str(tmp_path)]!r}); "
+            f"print(code, 'multiprocessing' in sys.modules)")
+    assert fresh_python(code).splitlines()[-1] == "0 False"
 
 
 def test_every_public_name_resolves_lazily():

@@ -28,6 +28,11 @@ from conftest import (CNOT, copy_gather, exchange_basis, parity_stack, random_co
 D22 = BipartitionDims(2, 2)
 
 
+def rank(spec):
+    """The number of Schmidt coefficients above 1e-12 of the largest."""
+    return int(np.count_nonzero(spec.lambdas > 1e-12 * spec.lambdas.max(initial=0)))
+
+
 def test_bipartition_validation():
     with pytest.raises(ValueError):
         BipartitionDims(3, 2)
@@ -94,7 +99,7 @@ def test_spectrum_identity_large():
     spec = schmidt_spectrum(np.eye(441), d)
     assert spec.lambdas[0] == pytest.approx(441, rel=1e-12)
     assert np.abs(spec.lambdas[1:]).max() < 1e-10
-    assert spec.rank == 1
+    assert rank(spec) == 1
 
 
 def test_spectrum_swap_two_qubits():
@@ -105,7 +110,7 @@ def test_spectrum_swap_two_qubits():
 def test_spectrum_cnot():
     spec = schmidt_spectrum(CNOT, D22)
     np.testing.assert_allclose(spec.normalized[:2], [0.5, 0.5], atol=1e-13)
-    assert spec.rank == 2
+    assert rank(spec) == 2
 
 
 def test_spectrum_sums_to_total_dim(rng):
@@ -176,7 +181,7 @@ def test_entropy_bounds(rng):
         spec = schmidt_spectrum(u, d)
         assert -1e-12 <= svn(spec) <= np.log(16) + 1e-12
         assert -1e-12 <= slin(spec) <= 1 - 1 / 16 + 1e-12
-        assert spec.rank <= 16
+        assert rank(spec) <= 16
 
 
 SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -447,9 +452,9 @@ def test_diagonal_vector_gives_the_full_spectrum(spins, seed, unimodular):
     assert got.lambdas.size == d.n**2
     np.testing.assert_array_equal(got.lambdas[d.n:], 0.0)
     np.testing.assert_allclose(got.lambdas, ref.lambdas, rtol=1e-12, atol=1e-12 * ref.lambdas[0])
-    assert got.rank <= d.n
+    assert rank(got) <= d.n
     p = rng.uniform(-np.pi, np.pi)
-    assert schmidt_spectrum(np.diag(product_rotation(s1, s2, p)), d).rank == 1
+    assert rank(schmidt_spectrum(np.diag(product_rotation(s1, s2, p)), d)) == 1
 
 
 @pytest.mark.parametrize("length", [5, 7, 36])
