@@ -31,12 +31,14 @@ BLAS thread count.
 
 At module level this file imports only the standard library, so that the
 `opent` entry point starts without numpy. Each subcommand imports the
-compute modules it runs when it runs: `saturation` loads no numpy, and no
-subcommand loads `multiprocessing`. `run_sweep` and `run_spectrum` import what
-their pool workers run before the pool forks, so no worker imports a module
-of its own. Before anything loads numpy, `main` sets OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the user set any of them,
-so each pool worker runs one BLAS thread.
+compute modules it runs when it runs: `saturation` loads neither numpy nor
+`inspect`, and no subcommand loads `multiprocessing` or builds dataclass
+machinery, since every record of the package is a `typing.NamedTuple`.
+`run_sweep` and `run_spectrum` import what their pool workers run before
+the pool forks, so no worker imports a module of its own. Before anything
+loads numpy, `main` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless the user set any of them, so each pool worker
+runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import math
 import os
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -87,8 +89,7 @@ def _reject_repeats(names) -> None:
             raise ValueError(f"two grid points would both write {name}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _SweepConfig(NamedTuple):
     j1: float = 10.0
     j2: float = 10.0
     k_values: tuple[float, ...] = (1.0, 2.0, 3.0, 6.0)
@@ -97,9 +98,14 @@ class SweepConfig:
     sample_stride: int = 5
     output_dir: Path = Path("out")
 
-    def __post_init__(self):
+
+class SweepConfig(_SweepConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         from .kickedtop import KickedTopParams
 
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.n_max >= self.sample_stride >= 1):
             raise ValueError("need n_max >= sample_stride >= 1")
         if not self.k_values or not self.eps_values:
@@ -108,10 +114,10 @@ class SweepConfig:
         for k, eps in grid:
             KickedTopParams(self.j1, self.j2, k, k, eps)
         _reject_repeats(SWEEP_FILES[0].format(_sweep_stem(k, eps)) for k, eps in grid)
+        return self
 
 
-@dataclass(frozen=True)
-class SpectrumConfig:
+class _SpectrumConfig(NamedTuple):
     j1: float = 10.0
     j2_values: tuple[float, ...] = (10.0, 15.0, 20.0)
     k: float = 6.0
@@ -120,9 +126,14 @@ class SpectrumConfig:
     bins: int = 25
     output_dir: Path = Path("out")
 
-    def __post_init__(self):
+
+class SpectrumConfig(_SpectrumConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         from .kickedtop import KickedTopParams
 
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.saturation_window) != 3:
             window = ",".join(map(str, self.saturation_window))
             raise ValueError(f"window must be start,end,stride, got {window}")
@@ -140,6 +151,7 @@ class SpectrumConfig:
         for j2 in self.j2_values:
             KickedTopParams(self.j1, j2, self.k, self.k, self.eps)
         _reject_repeats(SPECTRUM_FILES[0].format(_spectrum_stem(j2)) for j2 in self.j2_values)
+        return self
 
 
 def _fmt(x: float) -> str:

@@ -32,7 +32,6 @@ raises one `<what> <defect> exceeds 1e-08 at <where>` line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -47,8 +46,15 @@ from .spin import SpinSystem, check_phase, parity_basis, zz_phases
 UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
-class KickedTopParams:
+class _KickedTopParams(NamedTuple):
+    j1: float
+    j2: float
+    k1: float
+    k2: float
+    epsilon: float
+
+
+class KickedTopParams(_KickedTopParams):
     """Spins j1 <= j2 (each checked by `SpinSystem.from_j`), finite kicks and coupling.
 
     Each of k1, k2 and epsilon must also keep its largest phase finite:
@@ -56,13 +62,10 @@ class KickedTopParams:
     |eps| sqrt(j1 j2) for the coupling (eps / sqrt(j1 j2)) m1 m2.
     """
 
-    j1: float
-    j2: float
-    k1: float
-    k2: float
-    epsilon: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         SpinSystem.from_j(self.j1)
         SpinSystem.from_j(self.j2)
         if self.j1 > self.j2:  # the Schmidt analysis takes dim1 <= dim2
@@ -71,6 +74,7 @@ class KickedTopParams:
         check_phase("k2", self.k2, self.j2 / 2, "torsion phase |k2| j2 / 2")
         check_phase("epsilon", self.epsilon, math.sqrt(self.j1 * self.j2),
                     "coupling phase |epsilon| sqrt(j1 j2)")
+        return self
 
     @property
     def top1(self) -> SpinSystem:

@@ -18,8 +18,7 @@ finite-size mean (Page 1993) approaches for large N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # numpy loads only in the functions that build arrays
     import numpy as np
@@ -40,17 +39,28 @@ def laguerre_bounds(n_small: int, q: float) -> tuple[float, float]:
     return max(lo, 0.0), hi
 
 
-@dataclass(frozen=True)
-class LaguerreLaw:
+class _LaguerreLaw(NamedTuple):
     n_small: int
     q: float
-    lambda_min: float = field(init=False)
-    lambda_max: float = field(init=False)
 
-    def __post_init__(self):
-        lo, hi = laguerre_bounds(self.n_small, self.q)
-        object.__setattr__(self, "lambda_min", lo)
-        object.__setattr__(self, "lambda_max", hi)
+
+class LaguerreLaw(_LaguerreLaw):
+    """The law of N = n_small and Q = q, on its support [lambda_min, lambda_max] (`laguerre_bounds`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        laguerre_bounds(self.n_small, self.q)  # checks both
+        return self
+
+    @property
+    def lambda_min(self) -> float:
+        return laguerre_bounds(self.n_small, self.q)[0]
+
+    @property
+    def lambda_max(self) -> float:
+        return laguerre_bounds(self.n_small, self.q)[1]
 
     @classmethod
     def from_dims(cls, n_small: int, m_big: int) -> "LaguerreLaw":
@@ -117,8 +127,7 @@ def saturation_estimate(n_small: int, m_big: int) -> float:
     return math.log(n_small**2) - 1 / (2 * law.q)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Density-normalized histogram: sum(height * width) = sample count."""
 
     bin_edges: np.ndarray

@@ -20,34 +20,38 @@ abort rule of `linalg.require`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import as_matrix, require, singular_values
 
 
-@dataclass(frozen=True)
-class BipartitionDims:
-    """Subsystem dimensions n <= m of a bipartite space."""
-
+class _BipartitionDims(NamedTuple):
     n: int
     m: int
 
-    def __post_init__(self):
+
+class BipartitionDims(_BipartitionDims):
+    """Subsystem dimensions n <= m of a bipartite space."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1 or self.m < 1:
             raise ValueError("dimensions must be positive")
         if self.n > self.m:
             raise ValueError(f"n <= m required, got n={self.n}, m={self.m}")
+        return self
 
     @property
     def total(self) -> int:
         return self.n * self.m
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
+class SchmidtSpectrum(NamedTuple):
     """Operator Schmidt coefficients, descending; sums to n*m for a unitary."""
 
     lambdas: np.ndarray

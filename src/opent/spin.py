@@ -15,20 +15,25 @@ or kick keeps its largest phase finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SpinSystem:
-    """A single spin with quantum number j = two_j / 2."""
-
+class _SpinSystem(NamedTuple):
     two_j: int
 
-    def __post_init__(self):
+
+class SpinSystem(_SpinSystem):
+    """A single spin with quantum number j = two_j / 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.two_j < 0 or self.two_j != int(self.two_j):
             raise ValueError(f"two_j must be a nonnegative integer, got {self.two_j}")
+        return self
 
     @classmethod
     def from_j(cls, j: float) -> "SpinSystem":

@@ -8,7 +8,7 @@ for operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,18 +19,24 @@ from .spin import SpinSystem, basis_state
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PureState:
+class _PureState(NamedTuple):
     dims: BipartitionDims
     amplitudes: np.ndarray
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
-        if amps.size != self.dims.total:
-            raise ValueError(f"amplitude length {amps.size} != n*m = {self.dims.total}")
+
+class PureState(_PureState):
+    """A normalized state of the n*m amplitudes of `dims`, held as one complex vector."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        dims, amps = _PureState(*args, **kwargs)
+        amps = np.asarray(amps, dtype=np.complex128).ravel()
+        if amps.size != dims.total:
+            raise ValueError(f"amplitude length {amps.size} != n*m = {dims.total}")
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ValueError("state is not normalized")
-        object.__setattr__(self, "amplitudes", amps)
+        return super().__new__(cls, dims, amps)
 
 
 def product_basis_state(s1: SpinSystem, s2: SpinSystem, m1: float, m2: float) -> PureState:

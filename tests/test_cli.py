@@ -598,7 +598,9 @@ def alive(pid):
 def test_an_interrupted_run_stops_its_workers_and_keeps_finished_and_old_files(
         tmp_path, monkeypatch, signum, group):
     # Ctrl-C signals the whole process group; `kill PID` signals the main process only.
-    # The signal comes once k1_eps0.1 is written and every worker holds a .tmp file.
+    # The signal comes once k1_eps0.1 is written and every worker holds a .tmp file. The CSV is
+    # looked for first: k1_eps0.1's own .tmp is gone by then, so `workers` .tmp files mean that
+    # its worker was sent a next point, which the parent does only once it has read the result.
     monkeypatch.setenv("OPENT_WORKERS", "2")
     workers, pids, out = cli._worker_count(4), tmp_path / "pids", tmp_path / "out"
     pids.mkdir()
@@ -608,7 +610,7 @@ def test_an_interrupted_run_stops_its_workers_and_keeps_finished_and_old_files(
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
         deadline = time.monotonic() + 30
-        while len(list(out.glob("*.tmp"))) < workers or not (out / "sweep_k1_eps0.1.csv").exists():
+        while not (out / "sweep_k1_eps0.1.csv").exists() or len(list(out.glob("*.tmp"))) < workers:
             assert time.monotonic() < deadline and proc.poll() is None
             time.sleep(0.02)
         (os.killpg if group else os.kill)(proc.pid, signum)
@@ -690,13 +692,14 @@ def fresh_python(code):
     "import opent.cli; opent.cli.main(['saturation', '--n', '21', '--m', '41'])",
 ])
 def test_import_and_saturation_load_no_numpy(code):
-    assert fresh_python(f"{code}\nimport sys; print('numpy' in sys.modules)").splitlines()[-1] == "False"
+    code += "\nimport sys; print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert fresh_python(code).splitlines()[-1] == "[]"
 
 
 def test_diagonal_loads_no_process_pool(tmp_path):
     code = (f"import sys, opent.cli; opent.cli.main(['diagonal', '--j1', '1', '--j2', '2', "
             f"'--out', {str(tmp_path)!r}]); print('multiprocessing' in sys.modules); "
-            f"print(sorted({{'opent.kickedtop', 'opent.blocks'}} & set(sys.modules)))")
+            f"print(sorted({{'opent.kickedtop', 'opent.blocks', 'dataclasses'}} & set(sys.modules)))")
     assert fresh_python(code) == "False\n[]\n"
     assert (tmp_path / "diagonal.csv").exists()
 
@@ -708,8 +711,8 @@ def test_diagonal_loads_no_process_pool(tmp_path):
 def test_the_pool_commands_load_no_multiprocessing(tmp_path, monkeypatch, args):
     monkeypatch.setenv("OPENT_WORKERS", "2")
     code = (f"import sys, opent.cli; code = opent.cli.main({[*args, '--out', str(tmp_path)]!r}); "
-            f"print(code, 'multiprocessing' in sys.modules)")
-    assert fresh_python(code).splitlines()[-1] == "0 False"
+            f"print(code, 'multiprocessing' in sys.modules, 'dataclasses' in sys.modules)")
+    assert fresh_python(code).splitlines()[-1] == "0 False False"
 
 
 def test_every_public_name_resolves_lazily():

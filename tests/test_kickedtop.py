@@ -4,6 +4,7 @@ import math
 import pickle
 import pkgutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ from opent import (
     product_rotation,
 )
 import opent
-from opent import kickedtop
+from opent import cli, kickedtop
 from opent.kickedtop import DRIFT_TOL, kick_phases, parity_floquet, power_sequence
 from opent.linalg import hs_inner, kron, require, row_bands, transpose_defect, unitarity_residual
 from opent.blocks import band_stack, exchange_sectors
-from opent.schmidt import realign
+from opent.rmt import Histogram, LaguerreLaw
+from opent.schmidt import SchmidtSpectrum, realign
 from opent.spin import jy, parity_basis
-from opent.states import product_basis_state
+from opent.states import PureState, product_basis_state
 from conftest import expi_hermitian, parity_stack, random_parity_unitary, random_unitary
 
 HALF = SpinSystem(1)
@@ -499,6 +501,63 @@ def test_every_package_exception_survives_a_pickle_round_trip():
     for exc in EXCEPTIONS.values():
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc) and str(back) == str(exc) and vars(back) == vars(exc)
+
+
+# Per record of the package: two calls in the forms that the package and the tests use, which
+# build the same record, and a call that the record rejects with its error line (None if it
+# checks nothing).
+DIMS, EDGES = BipartitionDims(1, 2), np.linspace(0.0, 1.0, 6)
+RECORDS = [
+    pytest.param(lambda: cli.SweepConfig(j1=1, j2=1.5, k_values=(1.0, 2.0), n_max=40),
+                 lambda: cli.SweepConfig(1, 1.5, (1.0, 2.0), (1e-3, 1e-2, 1e-1, 1.0), 40, 5, Path("out")),
+                 lambda: cli.SweepConfig(n_max=2, sample_stride=5), "need n_max >= sample_stride >= 1",
+                 id="SweepConfig"),
+    pytest.param(lambda: cli.SpectrumConfig(j1=1, j2_values=(1.0,), saturation_window=(4, 40, 4), bins=6),
+                 lambda: cli.SpectrumConfig(1, (1.0,), 6.0, 1.0, (4, 40, 4), 6, Path("out")),
+                 lambda: cli.SpectrumConfig(bins=3), "need at least 5 bins", id="SpectrumConfig"),
+    pytest.param(lambda: KickedTopParams(1, 1.5, 6.0, 6.0, 1.0),
+                 lambda: KickedTopParams(j1=1, j2=1.5, k1=6.0, k2=6.0, epsilon=1.0),
+                 lambda: KickedTopParams(2, 1, 1, 1, 0.1), "j1 <= j2 required, got j1=2, j2=1",
+                 id="KickedTopParams"),
+    pytest.param(lambda: LaguerreLaw(21, 2.25), lambda: LaguerreLaw(n_small=21, q=2.25),
+                 lambda: LaguerreLaw(21, 0.5), "q >= 1 required (smaller subsystem first), got 0.5",
+                 id="LaguerreLaw"),
+    pytest.param(lambda: Histogram(EDGES, np.arange(5.0)),
+                 lambda: Histogram(bin_edges=EDGES, heights=np.arange(5.0)), None, None, id="Histogram"),
+    pytest.param(lambda: BipartitionDims(2, 3), lambda: BipartitionDims(n=2, m=3),
+                 lambda: BipartitionDims(3, 2), "n <= m required, got n=3, m=2", id="BipartitionDims"),
+    pytest.param(lambda: SchmidtSpectrum(np.array([2.0, 0.0]), DIMS),
+                 lambda: SchmidtSpectrum(lambdas=np.array([2.0, 0.0]), dims=DIMS), None, None,
+                 id="SchmidtSpectrum"),
+    pytest.param(lambda: SpinSystem(3), lambda: SpinSystem.from_j(1.5),
+                 lambda: SpinSystem(-1), "two_j must be a nonnegative integer, got -1", id="SpinSystem"),
+    pytest.param(lambda: PureState(DIMS, [0.6, 0.8]),
+                 lambda: PureState(dims=DIMS, amplitudes=np.array([[0.6], [0.8]])),
+                 lambda: PureState(DIMS, [1.0, 1.0]), "state is not normalized", id="PureState"),
+]
+
+
+def equal_records(a, b) -> bool:
+    """Same class and fields, arrays by value and dtype (`==` raises on a record that holds one)."""
+    return type(a) is type(b) and a._fields == b._fields and all(
+        type(x) is type(y) and (np.array_equal(x, y) and x.dtype == y.dtype if isinstance(x, np.ndarray) else x == y)
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("build, same, reject, line", RECORDS)
+def test_every_record_is_frozen_pickles_and_checks_its_input(build, same, reject, line):
+    record = build()
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    back = pickle.loads(pickle.dumps(record))
+    assert equal_records(back, record) and equal_records(same(), record)
+    if not any(isinstance(value, np.ndarray) for value in record):
+        assert back == record == same() and hash(back) == hash(record)
+    if reject is not None:
+        with pytest.raises(ValueError) as info:
+            reject()
+        assert str(info.value) == line
 
 
 def test_diagonal_coupling_eigenvalues():

@@ -3,7 +3,10 @@
 A `_`-prefixed name is a module's own detail. A module that needs another's
 private name shares a decision with it, and that decision belongs in one
 module. Tests may still import private names. The abort rule of a broken
-invariant is such a decision too: only `linalg` writes its line.
+invariant is such a decision too: only `linalg` writes its line. And no
+module imports `dataclasses`: each record is a `typing.NamedTuple`, so that
+no CLI process builds dataclass machinery or, for `saturation`, loads
+`inspect`.
 """
 
 import ast
@@ -78,3 +81,28 @@ def f(x, tol):
     return f"{x} is fine", f"{x} exceeds"
 """
     assert abort_lines(source) == [4, 7]
+
+
+def dataclass_imports(source: str) -> list[int]:
+    """The line of each import of the standard library's `dataclasses` in the source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and not node.level and node.module == "dataclasses")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    assert dataclass_imports(path.read_text()) == []
+
+
+def test_the_dataclass_check_sees_an_import():
+    source = """
+from __future__ import annotations
+from dataclasses import dataclass
+from typing import NamedTuple
+from .dataclasses import own
+def f():
+    import os, dataclasses as dc
+    return "import dataclasses"
+"""
+    assert dataclass_imports(source) == [3, 7]
