@@ -8,7 +8,7 @@ import importlib
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "linalg": ("UnitarityDriftError",),
+    "linalg": (),
     "kickedtop": ("KickedTopParams", "floquet"),
     "rmt": ("saturation_estimate",),
     "schmidt": ("BipartitionDims", "SchmidtSpectrum", "operator_entanglement", "realign",

@@ -116,6 +116,8 @@ class SweepConfig(_SweepConfig):
         _reject_repeats(SWEEP_FILES[0].format(_sweep_stem(k, eps)) for k, eps in grid)
         return self
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds through it, so it checks too
+
 
 class _SpectrumConfig(NamedTuple):
     j1: float = 10.0
@@ -152,6 +154,8 @@ class SpectrumConfig(_SpectrumConfig):
             KickedTopParams(self.j1, j2, self.k, self.k, self.eps)
         _reject_repeats(SPECTRUM_FILES[0].format(_spectrum_stem(j2)) for j2 in self.j2_values)
         return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds through it, so it checks too
 
 
 def _fmt(x: float) -> str:

@@ -24,9 +24,10 @@ powers the blocks, or the sectors, in lockstep and takes each spectrum from
 the four flip blocks that `blocks` gathers from their powers, the sectors'
 by the gather that their split hands back. With its build, a call on its
 step holds under 2.45 times the two parity blocks' bytes, or about 1.6
-times for identical tops. Every invariant the stream checks aborts by the
-one rule of `linalg`: a defect above DRIFT_TOL (re-exported here), or nan,
-raises one `<what> <defect> exceeds 1e-08 at <where>` line.
+times for identical tops. Every invariant the stream checks, the unitarity
+of each power included, aborts through `linalg.require`: a defect above
+DRIFT_TOL (re-exported here), or nan, raises one RuntimeError
+`<what> <defect> exceeds 1e-08 at <where>`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .blocks import band_stack, exchange_sectors, parity_gather
-from .linalg import (DRIFT_TOL, UnitarityDriftError, kron, matmul_in_place, require, transpose_defect,
-                     unitarity_residual)
+from .linalg import DRIFT_TOL, kron, matmul_in_place, require, transpose_defect, unitarity_residual
 from .schmidt import BipartitionDims, SchmidtSpectrum, schmidt_spectrum
 from .spin import SpinSystem, check_phase, parity_basis, zz_phases
 
@@ -75,6 +75,8 @@ class KickedTopParams(_KickedTopParams):
         check_phase("epsilon", self.epsilon, math.sqrt(self.j1 * self.j2),
                     "coupling phase |epsilon| sqrt(j1 j2)")
         return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds through it, so it checks too
 
     @property
     def top1(self) -> SpinSystem:
@@ -171,9 +173,10 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
     ||E||_F <= h max |E|. The step is measured once, when a product by it
     follows; a power is measured when its bound is not at most DRIFT_TOL
     (so a nan bound forces a measurement), at the first power unless that
-    is S, and always at the last. A measured power whose max-norm bound
-    exceeds DRIFT_TOL raises UnitarityDriftError. The yielded residual is
-    that max-norm bound at a measured power and the carried bound e
+    is S, and always at the last. A measured power's max-norm bound goes to
+    `linalg.require`, which raises `unitarity residual <bound> exceeds 1e-08
+    at power n=<n>` where it is above DRIFT_TOL or nan. The yielded residual
+    is that max-norm bound at a measured power and the carried bound e
     otherwise, so it is at least max |E| and at most DRIFT_TOL. The yielded
     matrix is a read-only view of S, which no draw writes, or of the running
     power, which the next overwrites: copy that to keep it. An empty range
@@ -203,8 +206,7 @@ def power_sequence(u: np.ndarray, ns: range) -> Iterator[PowerSample]:
             bound = residual = (1 + f) * bound + f + rounding * (1 + bound) * (1 + f)
         if not residual <= DRIFT_TOL or n == ns[-1]:
             residual = measured(acc)
-            if not residual <= DRIFT_TOL:
-                raise UnitarityDriftError(n, residual)
+            require(residual, "unitarity residual", f"power n={n}")
             bound = h * residual
         yield PowerSample(n, np.broadcast_to(acc, acc.shape), residual)  # read-only
 

@@ -10,8 +10,8 @@ parity and exchange symmetries, the transpose symmetry of its parity blocks
 and the sum rule sum(lambda) = N M are each measured as a defect; a defect
 that is not at most DRIFT_TOL, a nan included, ends its point with one line
 `<what> <defect> exceeds 1e-08 at <where>`. `require` writes and raises
-that line; `UnitarityDriftError`, which `kickedtop.power_sequence` raises
-with its power n and residual, reads the same.
+that line, a RuntimeError, for every check, the unitarity of each measured
+power in `kickedtop.power_sequence` included.
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ def require(defect, what, where) -> None:
     """Raise RuntimeError(`<what> <defect> exceeds 1e-08 at <where>`) unless defect <= DRIFT_TOL; nan fails."""
     if not defect <= DRIFT_TOL:
         raise RuntimeError(f"{what} {defect:.3e} exceeds {DRIFT_TOL:g} at {where}")
-
-
-class UnitarityDriftError(RuntimeError):
-    """Raised when a power of a unitary loses unitarity; `args` is (n, residual), so it pickles."""
-
-    def __init__(self, n: int, residual: float):
-        super().__init__(n, residual)
-        self.n, self.residual = n, residual
-
-    def __str__(self) -> str:  # the abort line of `require`
-        return f"unitarity residual {self.residual:.3e} exceeds {DRIFT_TOL:g} at power n={self.n}"
 
 
 def as_matrix(a) -> np.ndarray:

@@ -54,6 +54,8 @@ class LaguerreLaw(_LaguerreLaw):
         laguerre_bounds(self.n_small, self.q)  # checks both
         return self
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds through it, so it checks too
+
     @property
     def lambda_min(self) -> float:
         return laguerre_bounds(self.n_small, self.q)[0]

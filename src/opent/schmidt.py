@@ -20,6 +20,7 @@ abort rule of `linalg.require`.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -40,11 +41,17 @@ class BipartitionDims(_BipartitionDims):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        try:
+            operator.index(self.n), operator.index(self.m)
+        except TypeError:  # a float, even an integral one
+            raise ValueError(f"dimensions must be integers, got n={self.n}, m={self.m}") from None
         if self.n < 1 or self.m < 1:
             raise ValueError("dimensions must be positive")
         if self.n > self.m:
             raise ValueError(f"n <= m required, got n={self.n}, m={self.m}")
         return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds through it, so it checks too
 
     @property
     def total(self) -> int:

@@ -15,6 +15,8 @@ or kick keeps its largest phase finite.
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import suppress
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +33,12 @@ class SpinSystem(_SpinSystem):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.two_j < 0 or self.two_j != int(self.two_j):
-            raise ValueError(f"two_j must be a nonnegative integer, got {self.two_j}")
-        return self
+        with suppress(TypeError):  # operator.index refuses a float, even an integral one
+            if operator.index(self.two_j) >= 0:
+                return self
+        raise ValueError(f"two_j must be a nonnegative integer, got {self.two_j}")
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds through it, so it checks too
 
     @classmethod
     def from_j(cls, j: float) -> "SpinSystem":

@@ -38,6 +38,8 @@ class PureState(_PureState):
             raise ValueError("state is not normalized")
         return super().__new__(cls, dims, amps)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` builds through it, so it checks too
+
 
 def product_basis_state(s1: SpinSystem, s2: SpinSystem, m1: float, m2: float) -> PureState:
     """|m1, m2>: product of Jz eigenstates of the two spins."""

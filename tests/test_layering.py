@@ -3,13 +3,18 @@
 A `_`-prefixed name is a module's own detail. A module that needs another's
 private name shares a decision with it, and that decision belongs in one
 module. Tests may still import private names. The abort rule of a broken
-invariant is such a decision too: only `linalg` writes its line. And no
-module imports `dataclasses`: each record is a `typing.NamedTuple`, so that
-no CLI process builds dataclass machinery or, for `saturation`, loads
-`inspect`.
+invariant is such a decision too: only `linalg` writes its line, in one
+f-string. And no module imports `dataclasses`: each record is a
+`typing.NamedTuple`, so that no CLI process builds dataclass machinery or,
+for `saturation`, loads `inspect`.
+
+The package is also held to a size budget: its code lines and tokens, as
+`code_size` counts them, may not grow unless the budget here is raised.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -71,6 +76,10 @@ def test_only_linalg_writes_the_abort_line(path):
     assert abort_lines(path.read_text()) == []
 
 
+def test_linalg_writes_the_abort_line_once():
+    assert len(abort_lines((PACKAGE / "linalg.py").read_text())) == 1
+
+
 def test_the_abort_line_check_sees_an_f_string_that_writes_it():
     source = """
 def f(x, tol):
@@ -106,3 +115,52 @@ def f():
     return "import dataclasses"
 """
     assert dataclass_imports(source) == [3, 7]
+
+
+# token types that are comments or layout, not code
+LAYOUT = {tokenize.COMMENT, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+# the budget of `src/opent`: code lines and non-string tokens
+SIZE_BUDGET = (979, 10794)
+
+
+def code_size(source: str) -> tuple[int, int]:
+    """(code lines, non-string tokens) of a source.
+
+    A code line holds a token that is not part of a docstring, a comment or layout. The tokens
+    counted are those `tokenize` yields that are not a string, a comment, NEWLINE, NL, INDENT,
+    DEDENT or ENDMARKER.
+    """
+    docstrings = {(body[0].lineno, body[0].col_offset) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                  and (body := node.body) and isinstance(body[0], ast.Expr)
+                  and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)}
+    lines, tokens = set(), 0
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in LAYOUT or token.type == tokenize.STRING and token.start in docstrings:
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+        tokens += token.type != tokenize.STRING
+    return len(lines), tokens
+
+
+def test_the_package_keeps_to_its_size_budget():
+    lines, tokens = map(sum, zip(*(code_size(path.read_text()) for path in PACKAGE.glob("*.py"))))
+    assert lines <= SIZE_BUDGET[0] and tokens <= SIZE_BUDGET[1]
+
+
+def test_the_size_counter_skips_docstrings_comments_layout_and_strings():
+    source = '''"""A module docstring
+over two lines."""
+
+# a comment
+x = "a string"  # and one after code
+
+
+def f(a):
+    """A function docstring."""
+    return (a,
+            """a string literal
+over two lines""")
+'''
+    # code lines 5, 8, 10, 11 and 12, the last two the literal's; tokens `x =`, `def f ( a ) :`, `return ( a , )`
+    assert code_size(source) == (5, 13)

@@ -153,12 +153,6 @@ def test_require_passes_a_defect_at_the_bound_and_fails_one_above_it_or_nan():
         assert str(info.value) == f"some defect {defect:.3e} exceeds 1e-08 at power n=3"
 
 
-def test_unitarity_drift_error_reads_as_the_abort_line_of_require():
-    with pytest.raises(RuntimeError) as info:
-        linalg.require(1e-6, "unitarity residual", "power n=5")
-    assert str(linalg.UnitarityDriftError(5, 1e-6)) == str(info.value)
-
-
 def test_transpose_defect_is_the_largest_over_all_matrices_and_bands():
     sym = np.arange(16.0).reshape(4, 4)
     sym = sym + sym.T

@@ -41,6 +41,20 @@ def test_bipartition_validation():
     assert BipartitionDims(2, 5).total == 10
 
 
+def test_bipartition_dims_are_integers():
+    # a float, even an integral one, would fail only in numpy's reshape, far from its cause
+    for n, m in ((2.5, 3), (2.0, 3.0), (2, 3.0), (0.5, 1)):
+        with pytest.raises(ValueError) as info:
+            BipartitionDims(n, m)
+        assert str(info.value) == f"dimensions must be integers, got n={n}, m={m}"
+    for bad, line in (((0, 2), "dimensions must be positive"), ((3, 2), "n <= m required, got n=3, m=2")):
+        with pytest.raises(ValueError) as info:
+            BipartitionDims(*bad)
+        assert str(info.value) == line
+    d = BipartitionDims(np.int64(2), np.int32(3))
+    assert d.total == 6 and realign(np.eye(6), d).shape == (4, 9)
+
+
 def test_reshape_vec_golden_ordering():
     # row-after-row: [[a11, a12], [a21, a22]] -> (a11, a12, a21, a22)
     a = np.array([[1 + 1j, 2], [3, 4 - 1j]])

@@ -25,6 +25,17 @@ def test_spin_system_dims():
             SpinSystem.from_j(j)
 
 
+def test_spin_system_takes_an_integer_two_j_only():
+    # a float, even an integral one, would make `dim` a float that fails far from its cause
+    for two_j in (2.0, 2.5, -1, "2"):
+        with pytest.raises(ValueError) as info:
+            SpinSystem(two_j)
+        assert str(info.value) == f"two_j must be a nonnegative integer, got {two_j}"
+    for two_j in (np.int64(2), np.uint8(2), 2):
+        spin = SpinSystem(two_j)
+        assert spin.dim == 3 and basis_state(spin, 0)[1, 0] == 1
+
+
 def test_jz_examples():
     np.testing.assert_array_equal(jz(HALF), np.diag([-0.5, 0.5]))
     np.testing.assert_array_equal(jz(ONE), np.diag([-1.0, 0.0, 1.0]))
